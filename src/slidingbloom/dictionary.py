@@ -22,11 +22,32 @@ produces ladders of parallel bucket pairs, which can disconnect the
 cuckoo graph and strand insertions away from the remaining free cells.
 Two independent affine maps give every fingerprint an edge of its own.
 
+The two mixes come from simple tabulation hashing (Patrascu and Thorup,
+*The Power of Simple Tabulation Hashing*): q is cut into the fewest
+equal characters of at most 12 bits, each character indexes its own
+table of seeded 64-bit words, and the XOR h of the looked-up words
+gives both mixes as its two lowest digits in base num_buckets,
+mix_1 = h mod nb and mix_2 = (h div nb) mod nb (nearly uniform and
+independent while nb**2 is far below 2**64). A quotient of up to 12
+bits thus gets a fully random table. The tables are drawn once from
+the placement seed; their size depends only on the quotient width
+(4096 words for 12-bit quotients, 2 x 2048 for 22-bit ones), so
+placement keeps no state per quotient class.
+
+Storage is typed. A cell holds one key 2q + side - 1 in an unsigned
+``array.array`` (a Python list once keys outgrow 64 bits), with the
+all-ones value of the key width marking an empty cell, and one tag in
+a second typed array. An empty cell's tag is 0. ``to_bytes`` and
+``from_bytes`` move the whole state in bulk and range-check it on the
+way in.
+
 Staleness is the caller's notion: operations that may mutate take a
-``stale(tag) -> bool`` predicate and free any stale occupant they
-examine, so logically-dead cells never block an insert. ``member`` is
-read-only: it filters stale hits out of its answer but leaves them in
-place for the scanner.
+``stale(tag) -> bool`` predicate. An insert reclaims the stale cells of
+a bucket only when it needs room there, i.e. when a candidate bucket or
+a kick target has no empty cell, so logically-dead cells never block an
+insert; everything else is left to the scanner (``scan_step``).
+``member`` is read-only: it filters stale hits out of its answer but
+leaves them in place.
 
 Geometry and policy: BUCKET_SIZE = 4, two bucket choices, random-walk
 eviction capped at MAX_KICKS = 500, cell count sized for a 0.9 load
@@ -35,28 +56,98 @@ at element capacity (rounded up to a whole number of bucket pairs).
 
 from __future__ import annotations
 
+import struct
+import sys
+from array import array
 from dataclasses import dataclass
 from math import gcd
 
-from .prng import SplitMix64, derive_seed, splitmix64
+import numpy as np
+
+from .prng import SplitMix64, derive_seed, splitmix64, splitmix64_block
 
 BUCKET_SIZE = 4
 MAX_KICKS = 500
 # load target 0.9, kept as a ratio of integers so capacity math is exact
 _LOAD_NUM, _LOAD_DEN = 9, 10
 
+# simple tabulation: the widest character of q, in bits
+_MAX_CHAR_BITS = 12
+
+# unsigned array typecode for each item width in bytes
+_TYPECODES = {array(code).itemsize: code for code in "QLIHB"}
+
+# to_bytes header: capacity_cells, element_capacity, bucket_size,
+# placement_seed, walk_state, cursor, occupancy, tag_range, key_width,
+# tag_width
+_HEADER = struct.Struct("<QQBQQQQQBB")
+
 
 class InsertOverflow(RuntimeError):
     """Random-walk insertion ran out of kicks.
 
     Signals an unlucky placement seed (made negligible by the load
-    target); the structure may have displaced one element, so the owner
-    should rebuild with a fresh seed rather than continue.
+    target). The walk ends carrying one element that is in no cell: its
+    fingerprint and tag are ``fp`` and ``tag``. The owner should rebuild
+    with a fresh seed, reinserting that element, rather than continue.
     """
+
+    def __init__(self, message: str, fp: int | None = None, tag: int | None = None):
+        super().__init__(message)
+        self.fp = fp
+        self.tag = tag
 
 
 def never_stale(_tag: int) -> bool:
     return False
+
+
+def _capacity_cells(element_capacity: int) -> int:
+    """Cells for a 0.9 load at element capacity, in whole bucket pairs."""
+    need = -(-element_capacity * _LOAD_DEN // _LOAD_NUM)  # ceil(cap / 0.9)
+    block = 2 * BUCKET_SIZE
+    return ((need + block - 1) // block) * block
+
+
+def _width(max_value: int) -> int:
+    """Bytes per item to hold values up to max_value: 1, 2, 4, 8, then exact."""
+    need = max(1, (max_value.bit_length() + 7) // 8)
+    for width in (1, 2, 4, 8):
+        if need <= width:
+            return width
+    return need
+
+
+def _tabulation(placement_seed: int, quotient_bits: int):
+    """Simple tabulation hash of quotients of the given width, as a callable.
+
+    The quotient is cut into the fewest equal characters of at most
+    _MAX_CHAR_BITS bits; table i maps character i to a 64-bit word, the
+    words being the splitmix64 stream of a seed derived from the
+    placement seed. One and two characters are unrolled, since every
+    placement pays for this call.
+    """
+    chars = max(1, -(-quotient_bits // _MAX_CHAR_BITS))
+    bits = -(-quotient_bits // chars)
+    size = 1 << bits
+    words = splitmix64_block(derive_seed(placement_seed, "tabulation"), chars * size)
+    tables = [array(_TYPECODES[8], words[i * size:(i + 1) * size].tobytes())
+              for i in range(chars)]
+    if chars == 1:
+        return tables[0].__getitem__
+    mask = size - 1
+    if chars == 2:
+        low, high = tables
+        return lambda q: low[q & mask] ^ high[q >> bits]
+
+    def mix(q: int) -> int:
+        h = 0
+        for table in tables:
+            h ^= table[q & mask]
+            q >>= bits
+        return h
+
+    return mix
 
 
 @dataclass(frozen=True)
@@ -87,6 +178,12 @@ class Dictionary:
         tag_range: int | None = None,
         full_fp_accounting: bool = False,
     ):
+        self._setup(element_capacity, fp_range, tag_bits, tag_range,
+                    derive_seed(seed, "bucket-placement"),
+                    derive_seed(seed, "cuckoo-walk"), full_fp_accounting)
+
+    def _setup(self, element_capacity, fp_range, tag_bits, tag_range,
+               placement_seed, walk_state, full_fp_accounting=False) -> None:
         if element_capacity < 1:
             raise ValueError("element_capacity must be >= 1")
         if fp_range < 1:
@@ -94,27 +191,34 @@ class Dictionary:
         if tag_bits < 1:
             raise ValueError("tag_bits must be >= 1")
 
-        need = -(-element_capacity * _LOAD_DEN // _LOAD_NUM)  # ceil(cap / 0.9)
-        block = 2 * BUCKET_SIZE
-        self.capacity_cells = ((need + block - 1) // block) * block
+        self.capacity_cells = _capacity_cells(element_capacity)
         self.num_buckets = self.capacity_cells // BUCKET_SIZE
         self.element_capacity = element_capacity
         self.fp_range = fp_range
         self.tag_bits = tag_bits
+        self.tag_range = tag_range if tag_range is not None else 1 << tag_bits
         self.full_fp_accounting = full_fp_accounting
 
-        self._occ = bytearray(self.capacity_cells)
-        self._q = [0] * self.capacity_cells
-        self._side = bytearray(self.capacity_cells)
-        self._tag = [0] * self.capacity_cells
+        # keys 2q + side - 1 run up to 2*q_max + 1; the all-ones value of
+        # the key width stays above them and marks an empty cell
+        self._q_max = (fp_range - 1) // self.num_buckets
+        self._key_width = _width(2 * self._q_max + 2)
+        self._empty = (1 << (8 * self._key_width)) - 1
+        self._tag_width = _width(self.tag_range - 1)
+        code = _TYPECODES.get(self._key_width)
+        if code is None:
+            self._keys = [self._empty] * self.capacity_cells
+        else:
+            self._keys = array(code, [self._empty]) * self.capacity_cells
+        self._tags = array(_TYPECODES[self._tag_width], [0]) * self.capacity_cells
 
-        self._offset_seed = derive_seed(seed, "bucket-placement")
+        self._placement_seed = placement_seed
         self._init_placement()
-        self._walk = SplitMix64(derive_seed(seed, "cuckoo-walk"))
+        self._walk = SplitMix64(walk_state)
 
         self._cursor = 0
         self._occupancy = 0
-        self._tag_counts = [0] * (tag_range if tag_range is not None else 1 << tag_bits)
+        self._tag_counts = [0] * self.tag_range
 
         # per-operation instrumentation (cells counted bucket-granular)
         self.last_op_cells = 0
@@ -124,12 +228,9 @@ class Dictionary:
     # -- placement ---------------------------------------------------------
 
     def _init_placement(self) -> None:
-        """Derive the two affine placement maps from the placement seed.
-
-        Rebuilt whenever the seed changes (construction, snapshot load).
-        """
+        """Derive the affine multipliers and mix tables from the placement seed."""
         nb = self.num_buckets
-        rng = SplitMix64(splitmix64(self._offset_seed))
+        rng = SplitMix64(splitmix64(self._placement_seed))
 
         def draw_unit() -> int:
             while True:
@@ -145,36 +246,24 @@ class Dictionary:
         self._mult2 = a2
         self._inv1 = pow(a1, -1, nb)
         self._inv2 = pow(a2, -1, nb)
-        self._mix_cache: dict[int, tuple[int, int]] = {}
-
-    def _mixes(self, q: int) -> tuple[int, int]:
-        """Seeded per-quotient-class additive terms for the two sides."""
-        pair = self._mix_cache.get(q)
-        if pair is None:
-            h1 = splitmix64(self._offset_seed ^ q)
-            h2 = splitmix64(h1)
-            pair = (h1 % self.num_buckets, h2 % self.num_buckets)
-            self._mix_cache[q] = pair
-        return pair
+        # q -> h, whose lowest two base-nb digits are the two mixes
+        self._mix = _tabulation(self._placement_seed, self._q_max.bit_length())
 
     def buckets_for(self, fp: int) -> tuple[int, int]:
         """The two candidate buckets of a fingerprint (side 1, side 2)."""
         nb = self.num_buckets
         q, r = divmod(fp, nb)
-        m1, m2 = self._mixes(q)
-        return (self._mult1 * r + m1) % nb, (self._mult2 * r + m2) % nb
+        h = self._mix(q)
+        return (self._mult1 * r + h) % nb, (self._mult2 * r + h // nb) % nb
 
-    def _residue(self, q: int, side: int, bucket: int) -> int:
-        """Invert one placement map: the r that lands (q, side) in bucket."""
-        m1, m2 = self._mixes(q)
-        if side == 1:
-            return (bucket - m1) * self._inv1 % self.num_buckets
-        return (bucket - m2) * self._inv2 % self.num_buckets
-
-    def _decode(self, idx: int) -> int:
-        """Reconstruct the fingerprint stored at an occupied cell."""
-        q = self._q[idx]
-        r = self._residue(q, self._side[idx], idx // BUCKET_SIZE)
+    def _fingerprint(self, key: int, bucket: int) -> int:
+        """Invert the placement map of the key's side: the fp it stands for in bucket."""
+        q = key >> 1
+        h = self._mix(q)
+        if key & 1:
+            r = (bucket - h // self.num_buckets) * self._inv2 % self.num_buckets
+        else:
+            r = (bucket - h) * self._inv1 % self.num_buckets
         return q * self.num_buckets + r
 
     # -- core operations ----------------------------------------------------
@@ -183,173 +272,172 @@ class Dictionary:
         """Tag stored for fp, or None if absent or stale. Read-only."""
         nb = self.num_buckets
         q, r = divmod(fp, nb)
-        pair = self._mix_cache.get(q)
-        if pair is None:
-            pair = self._mixes(q)
-        m1, m2 = pair
-        occ = self._occ
-        qs = self._q
-        sides = self._side
-        base = ((self._mult1 * r + m1) % nb) * BUCKET_SIZE
-        for i in range(base, base + BUCKET_SIZE):
-            if occ[i] and qs[i] == q and sides[i] == 1:
-                self.last_op_cells = BUCKET_SIZE
-                t = self._tag[i]
-                return None if stale(t) else t
-        base = ((self._mult2 * r + m2) % nb) * BUCKET_SIZE
-        for i in range(base, base + BUCKET_SIZE):
-            if occ[i] and qs[i] == q and sides[i] == 2:
-                self.last_op_cells = 2 * BUCKET_SIZE
-                t = self._tag[i]
-                return None if stale(t) else t
+        h = self._mix(q)
+        keys = self._keys
+        key = q << 1
+        base = (self._mult1 * r + h) % nb * BUCKET_SIZE
+        cells = keys[base:base + BUCKET_SIZE]
+        if key in cells:
+            self.last_op_cells = BUCKET_SIZE
+            t = self._tags[base + cells.index(key)]
+            return None if stale(t) else t
+        key += 1
+        base = (self._mult2 * r + h // nb) % nb * BUCKET_SIZE
+        cells = keys[base:base + BUCKET_SIZE]
         self.last_op_cells = 2 * BUCKET_SIZE
+        if key in cells:
+            t = self._tags[base + cells.index(key)]
+            return None if stale(t) else t
         return None
 
     def insert_or_update(self, fp: int, tag: int, stale) -> None:
-        """Set fp's tag, inserting if needed; reclaims stale cells it examines.
+        """Set fp's tag, inserting if needed.
 
-        Raises InsertOverflow if the random walk exceeds MAX_KICKS.
+        Stale cells of a bucket are reclaimed only when the bucket has
+        no empty cell. Raises InsertOverflow, carrying the element left
+        without a cell, if the random walk exceeds MAX_KICKS.
         """
         nb = self.num_buckets
         q, r = divmod(fp, nb)
-        occ = self._occ
-        qs = self._q
-        sides = self._side
-        tags = self._tag
+        h = self._mix(q)
+        keys = self._keys
+        tags = self._tags
         counts = self._tag_counts
-
-        pair = self._mix_cache.get(q)
-        if pair is None:
-            pair = self._mixes(q)
-        m1, m2 = pair
-        b1 = (self._mult1 * r + m1) % nb
-        b2 = (self._mult2 * r + m2) % nb
-
-        match = -1
-        free_slot = -1
-        free_side = 0
-        for b, side in ((b1, 1), (b2, 2)):
-            base = b * BUCKET_SIZE
-            for i in range(base, base + BUCKET_SIZE):
-                if occ[i]:
-                    t = tags[i]
-                    if stale(t):
-                        occ[i] = 0
-                        counts[t] -= 1
-                        self._occupancy -= 1
-                        if free_slot < 0:
-                            free_slot = i
-                            free_side = side
-                    elif qs[i] == q and sides[i] == side:
-                        match = i
-                elif free_slot < 0:
-                    free_slot = i
-                    free_side = side
-
+        self.last_op_cells = 2 * BUCKET_SIZE
         self.last_op_kicks = 0
-        if match >= 0:
-            old = tags[match]
-            counts[old] -= 1
+
+        key1 = q << 1
+        key2 = key1 + 1
+        b1 = (self._mult1 * r + h) % nb
+        b2 = (self._mult2 * r + h // nb) % nb
+        base1 = b1 * BUCKET_SIZE
+        base2 = b2 * BUCKET_SIZE
+        cells1 = keys[base1:base1 + BUCKET_SIZE]
+        cells2 = keys[base2:base2 + BUCKET_SIZE]
+
+        if key1 in cells1:
+            i = base1 + cells1.index(key1)
+        elif key2 in cells2:
+            i = base2 + cells2.index(key2)
+        else:
+            i = -1
+        if i >= 0:
+            counts[tags[i]] -= 1
             counts[tag] += 1
-            tags[match] = tag
-            self.last_op_cells = 2 * BUCKET_SIZE
+            tags[i] = tag
             return
 
-        if free_slot >= 0:
-            occ[free_slot] = 1
-            qs[free_slot] = q
-            sides[free_slot] = free_side
-            tags[free_slot] = tag
+        empty = self._empty
+        if empty in cells1:
+            i, key = base1 + cells1.index(empty), key1
+        elif empty in cells2:
+            i, key = base2 + cells2.index(empty), key2
+        elif self._reclaim(base1, base1 + BUCKET_SIZE, stale):
+            i, key = keys.index(empty, base1, base1 + BUCKET_SIZE), key1
+        elif self._reclaim(base2, base2 + BUCKET_SIZE, stale):
+            i, key = keys.index(empty, base2, base2 + BUCKET_SIZE), key2
+        if i >= 0:
+            keys[i] = key
+            tags[i] = tag
             counts[tag] += 1
             self._occupancy += 1
-            self.last_op_cells = 2 * BUCKET_SIZE
             return
 
         # both candidate buckets full of live cells: random-walk eviction;
         # the carried element enters a bucket on a known side and swaps
-        # with a random victim, which then walks to its other side
-        walk = self._walk
-        cur_q, cur_tag = q, tag
-        if walk.next64() & 1 == 0:
-            cur_b, cur_side = b1, 1
+        # with a random victim, which then walks to its other side. One
+        # 64-bit draw picks the side (bit 0) and 31 victims (two bits each)
+        next64 = self._walk.next64
+        mult1, mult2, inv1, inv2 = self._mult1, self._mult2, self._inv1, self._inv2
+        mix = self._mix
+        word = next64()
+        if word & 1 == 0:
+            cur_b, cur_key = b1, key1
         else:
-            cur_b, cur_side = b2, 2
+            cur_b, cur_key = b2, key2
+        cur_tag = tag
         touched = 2 * BUCKET_SIZE
         for kick in range(1, MAX_KICKS + 1):
-            base = cur_b * BUCKET_SIZE
-            victim = base + (walk.next64() & 3)
-
-            vq, vt, vside = qs[victim], tags[victim], sides[victim]
-            v_r = self._residue(vq, vside, cur_b)
-            vm1, vm2 = self._mixes(vq)
-            if vside == 1:
-                v_alt = (self._mult2 * v_r + vm2) % nb
-            else:
-                v_alt = (self._mult1 * v_r + vm1) % nb
-
-            qs[victim] = cur_q
+            slot = kick & 31
+            if not slot:
+                word = next64()
+            victim = cur_b * BUCKET_SIZE + (word >> 2 * slot & 3)
+            v_key = keys[victim]
+            v_tag = tags[victim]
+            keys[victim] = cur_key
             tags[victim] = cur_tag
-            sides[victim] = cur_side
-            counts[vt] -= 1
+            counts[v_tag] -= 1
             counts[cur_tag] += 1
 
-            cur_q, cur_tag = vq, vt
-            cur_b, cur_side = v_alt, 3 - vside
+            h = mix(v_key >> 1)
+            if v_key & 1:
+                v_r = (cur_b - h // nb) * inv2 % nb
+                cur_b = (mult1 * v_r + h) % nb
+            else:
+                v_r = (cur_b - h) * inv1 % nb
+                cur_b = (mult2 * v_r + h // nb) % nb
+            cur_key = v_key ^ 1
+            cur_tag = v_tag
 
-            base = v_alt * BUCKET_SIZE
+            base = cur_b * BUCKET_SIZE
             touched += BUCKET_SIZE
-            free_slot = -1
-            for i in range(base, base + BUCKET_SIZE):
-                if occ[i]:
-                    t = tags[i]
-                    if stale(t):
-                        occ[i] = 0
-                        counts[t] -= 1
-                        self._occupancy -= 1
-                        if free_slot < 0:
-                            free_slot = i
-                elif free_slot < 0:
-                    free_slot = i
-            if free_slot >= 0:
-                occ[free_slot] = 1
-                qs[free_slot] = cur_q
-                sides[free_slot] = cur_side
-                tags[free_slot] = cur_tag
-                counts[cur_tag] += 1
-                self._occupancy += 1
-                self.last_op_cells = touched
-                self.last_op_kicks = kick
-                if kick > self.max_kick_chain:
-                    self.max_kick_chain = kick
-                return
+            cells = keys[base:base + BUCKET_SIZE]
+            if empty in cells:
+                i = base + cells.index(empty)
+            elif self._reclaim(base, base + BUCKET_SIZE, stale):
+                i = keys.index(empty, base, base + BUCKET_SIZE)
+            else:
+                continue
+            keys[i] = cur_key
+            tags[i] = cur_tag
+            counts[cur_tag] += 1
+            self._occupancy += 1
+            self.last_op_cells = touched
+            self.last_op_kicks = kick
+            if kick > self.max_kick_chain:
+                self.max_kick_chain = kick
+            return
 
         self.last_op_cells = touched
         self.last_op_kicks = MAX_KICKS
-        self.max_kick_chain = MAX_KICKS
+        self.max_kick_chain = max(self.max_kick_chain, MAX_KICKS)
         raise InsertOverflow(
             f"no placement for fingerprint {fp} after {MAX_KICKS} kicks "
-            f"(occupancy {self._occupancy}/{self.capacity_cells})"
+            f"(occupancy {self._occupancy}/{self.capacity_cells})",
+            self._fingerprint(cur_key, cur_b), cur_tag,
         )
+
+    def _reclaim(self, start: int, stop: int, stale) -> int:
+        """Free every stale occupied cell in [start, stop); returns how many."""
+        tags = self._tags
+        freed = 0
+        for i in range(start, stop):
+            t = tags[i]
+            if stale(t) and self._keys[i] != self._empty:
+                self._keys[i] = self._empty
+                tags[i] = 0
+                self._tag_counts[t] -= 1
+                freed += 1
+        self._occupancy -= freed
+        return freed
 
     def delete(self, fp: int) -> bool:
         """Free the cell holding fp (stale or not); True if it was present."""
-        occ = self._occ
-        qs = self._q
-        sides = self._side
-        q = fp // self.num_buckets
-        b1, b2 = self.buckets_for(fp)
-        cells = BUCKET_SIZE
-        for b, side in ((b1, 1), (b2, 2)):
+        keys = self._keys
+        key = (fp // self.num_buckets) << 1
+        self.last_op_cells = BUCKET_SIZE
+        for b in self.buckets_for(fp):
             base = b * BUCKET_SIZE
-            for i in range(base, base + BUCKET_SIZE):
-                if occ[i] and qs[i] == q and sides[i] == side:
-                    occ[i] = 0
-                    self._tag_counts[self._tag[i]] -= 1
-                    self._occupancy -= 1
-                    self.last_op_cells = cells
-                    return True
-            cells = 2 * BUCKET_SIZE
-        self.last_op_cells = 2 * BUCKET_SIZE
+            cells = keys[base:base + BUCKET_SIZE]
+            if key in cells:
+                i = base + cells.index(key)
+                keys[i] = self._empty
+                self._tag_counts[self._tags[i]] -= 1
+                self._tags[i] = 0
+                self._occupancy -= 1
+                return True
+            key += 1
+            self.last_op_cells = 2 * BUCKET_SIZE
         return False
 
     def scan_step(self, k: int, stale) -> int:
@@ -360,24 +448,19 @@ class Dictionary:
         """
         if k < 1:
             raise ValueError("scan width must be >= 1")
-        occ = self._occ
-        tags = self._tag
-        counts = self._tag_counts
         cap = self.capacity_cells
         cur = self._cursor
-        freed = 0
-        for _ in range(k):
-            if occ[cur]:
-                t = tags[cur]
-                if stale(t):
-                    occ[cur] = 0
-                    counts[t] -= 1
-                    self._occupancy -= 1
-                    freed += 1
-            cur += 1
-            if cur == cap:
-                cur = 0
-        self._cursor = cur
+        stop = cur + k
+        if stop < cap:
+            freed = self._reclaim(cur, stop, stale)
+        else:
+            freed = self._reclaim(cur, cap, stale)
+            stop -= cap
+            while stop > cap:  # k wider than the table: whole laps
+                freed += self._reclaim(0, cap, stale)
+                stop -= cap
+            freed += self._reclaim(0, stop, stale)
+        self._cursor = stop if stop < cap else 0
         self.last_op_cells = k
         return freed
 
@@ -393,7 +476,7 @@ class Dictionary:
 
     @property
     def quotient_bits(self) -> int:
-        return ((self.fp_range - 1) // self.num_buckets).bit_length()
+        return self._q_max.bit_length()
 
     def bits_used(self) -> DictSpaceReport:
         """Notional packed size of the structure, itemized.
@@ -430,9 +513,10 @@ class Dictionary:
 
     def entries(self):
         """Yield (cell_index, fingerprint, tag) for every occupied cell."""
-        for i in range(self.capacity_cells):
-            if self._occ[i]:
-                yield i, self._decode(i), self._tag[i]
+        empty = self._empty
+        for i, key in enumerate(self._keys):
+            if key != empty:
+                yield i, self._fingerprint(key, i // BUCKET_SIZE), self._tags[i]
 
     def check_consistency(self) -> None:
         """Full-sweep structural audit (tests and debug use only)."""
@@ -452,3 +536,96 @@ class Dictionary:
             raise AssertionError(f"occupancy counter {self._occupancy} != swept {occupied}")
         if counts != self._tag_counts:
             raise AssertionError("per-tag counts out of sync with cells")
+
+    # -- bulk codec -------------------------------------------------------------
+
+    def to_bytes(self) -> bytes:
+        """The whole state, little-endian: a fixed header, then the key and tag planes.
+
+        Planes hold capacity_cells items of key_width and tag_width
+        bytes, in cell order.
+        """
+        header = _HEADER.pack(
+            self.capacity_cells, self.element_capacity, BUCKET_SIZE,
+            self._placement_seed, self._walk.state, self._cursor, self._occupancy,
+            self.tag_range, self._key_width, self._tag_width,
+        )
+        if isinstance(self._keys, list):
+            key_plane = b"".join(k.to_bytes(self._key_width, "little") for k in self._keys)
+        else:
+            key_plane = _little_endian(self._keys)
+        return header + key_plane + _little_endian(self._tags)
+
+    @classmethod
+    def from_bytes(cls, data, element_capacity: int, fp_range: int, tag_bits: int,
+                   tag_range: int) -> "Dictionary":
+        """Rebuild a dictionary from ``to_bytes`` output, all of ``data``.
+
+        The geometry must match the given arguments. Raises ValueError
+        on a length, geometry or range mismatch: a cursor or tag out of
+        range, a quotient above the fingerprint range, a nonzero tag in
+        an empty cell, or an occupancy field that disagrees with the
+        cells. Structural invariants that need a full decode (no
+        duplicates) are left to ``check_consistency``.
+        """
+        data = memoryview(data).cast("B")
+        if len(data) < _HEADER.size:
+            raise ValueError("truncated dictionary header")
+        (capacity_cells, stored_capacity, bucket_size, placement_seed, walk_state,
+         cursor, occupancy, stored_tag_range, key_width, tag_width) = _HEADER.unpack_from(data)
+        if bucket_size != BUCKET_SIZE:
+            raise ValueError(f"bucket size {bucket_size} != {BUCKET_SIZE}")
+        if stored_capacity != element_capacity or stored_tag_range != tag_range:
+            raise ValueError("dictionary geometry disagrees with the filter parameters")
+        cap = _capacity_cells(element_capacity)
+        if capacity_cells != cap or key_width < 1 or tag_width < 1:
+            raise ValueError("dictionary cell layout disagrees with the filter parameters")
+        # checked before anything of that size is allocated
+        key_end = _HEADER.size + cap * key_width
+        if len(data) != key_end + cap * tag_width:
+            raise ValueError(f"dictionary section holds {len(data)} bytes, "
+                             f"expected {key_end + cap * tag_width}")
+
+        d = cls.__new__(cls)
+        d._setup(element_capacity, fp_range, tag_bits, tag_range, placement_seed, walk_state)
+        if (key_width, tag_width) != (d._key_width, d._tag_width):
+            raise ValueError("dictionary cell widths disagree with the filter parameters")
+        if cursor >= cap:
+            raise ValueError(f"scan cursor {cursor} outside [0, {cap})")
+
+        key_plane = data[_HEADER.size:key_end]
+        tag_plane = data[key_end:]
+        if isinstance(d._keys, list):
+            keys = [int.from_bytes(key_plane[i:i + key_width], "little")
+                    for i in range(0, len(key_plane), key_width)]
+            occupied = np.fromiter((k != d._empty for k in keys), dtype=bool, count=cap)
+            top = max((k for k in keys if k != d._empty), default=0)
+        else:
+            plane = np.frombuffer(key_plane, dtype=f"<u{key_width}")
+            occupied = plane != d._empty
+            top = int(plane[occupied].max()) if occupied.any() else 0
+            keys = array(d._keys.typecode, plane.astype(f"=u{key_width}").tobytes())
+        if top >> 1 > d._q_max:
+            raise ValueError(f"quotient {top >> 1} outside [0, {d._q_max}]")
+        tags = np.frombuffer(tag_plane, dtype=f"<u{tag_width}")
+        live_tags = tags[occupied]
+        if live_tags.size and int(live_tags.max()) >= tag_range:
+            raise ValueError(f"tag {int(live_tags.max())} outside [0, {tag_range})")
+        if tags[~occupied].any():
+            raise ValueError("nonzero tag in an empty cell")
+        if live_tags.size != occupancy:
+            raise ValueError(f"occupancy field {occupancy} != {live_tags.size} occupied cells")
+
+        d._keys = keys
+        d._tags = array(d._tags.typecode, tags.astype(f"=u{tag_width}").tobytes())
+        d._cursor = cursor
+        d._occupancy = occupancy
+        d._tag_counts = np.bincount(live_tags.astype(np.int64), minlength=tag_range).tolist()
+        return d
+
+
+def _little_endian(items: array) -> bytes:
+    if sys.byteorder == "big":
+        items = array(items.typecode, items)
+        items.byteswap()
+    return items.tobytes()

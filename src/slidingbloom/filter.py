@@ -9,10 +9,12 @@ is decoupled from that logical expiry and differs by mode:
 
 * deamortized (default): the label counter cycles modulo G = 2c+3, so
   a label stays unused for c+2 generations after it expires. Every
-  insert advances an incremental scanner over (normally) two cells,
-  and every dictionary operation frees any stale cell it examines;
-  together these guarantee expired cells are physically gone before
-  their label is handed out again, keeping per-operation work bounded.
+  insert advances an incremental scanner over (normally) two cells, so
+  the scanner laps the whole table within those (c+2)*g inserts and
+  expired cells are physically gone before their label is handed out
+  again, keeping per-operation work bounded. Inserts also reclaim the
+  stale cells of a bucket they need room in, so expired cells never
+  block an insert, but the label guarantee rests on the scanner alone.
 
 * amortized: the reference implementation with G = c+2 and no
   activity check on lookups; the dictionary content is kept exactly
@@ -22,7 +24,8 @@ is decoupled from that logical expiry and differs by mode:
   to make that differential check possible.
 
 Both modes answer queries in constant dictionary work and never answer
-'No' for an element inside the window.
+'No' for an element inside the window. Elements must be ``int`` values
+in [0, u); anything else is rejected before any state changes.
 """
 
 from __future__ import annotations
@@ -85,7 +88,9 @@ class SlidingFilter:
     """Approximate membership over the last n stream elements."""
 
     def __init__(self, params: FilterParams, seed: int, mode: str = "deamortized",
-                 debug: bool = False):
+                 debug: bool = False, dictionary: Dictionary | None = None):
+        """Build an empty filter; ``dictionary``, if given, is adopted in place
+        of an empty one (snapshot loading restores the cells this way)."""
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         params.validate()
@@ -98,16 +103,10 @@ class SlidingFilter:
             params.u, params.fp_range, derive_seed(seed, "fingerprint")
         )
         self.rebuilds = 0
-        self._dict = Dictionary(
-            element_capacity=max(params.dict_capacity, MIN_DICT_ELEMENTS),
-            fp_range=params.fp_range,
-            tag_bits=params.tag_bits,
-            seed=derive_seed(seed, "dictionary"),
-            tag_range=self.gen_modulus,
-        )
+        if dictionary is None:
+            dictionary = self._new_dictionary("dictionary")
+        self._dict = dictionary
 
-        self.gen_pos = 0  # position inside the current generation, in [0, g)
-        self.gen_label = 0  # current generation label, in [0, gen_modulus)
         self.steps = 0
 
         if mode == "deamortized":
@@ -116,15 +115,13 @@ class SlidingFilter:
             # for degenerate tiny geometries
             span = (params.c + 2) * params.g
             self._scan_width = max(2, -(-self._dict.capacity_cells // span))
-            flags = bytearray(self.gen_modulus)
-            for t in range(self.gen_modulus):
-                flags[t] = 0 if (self.gen_label - t) % self.gen_modulus <= params.c else 1
-            self._stale_flags = flags
-            self._stale = flags.__getitem__
+            self._stale_flags = bytearray(self.gen_modulus)
+            self._stale = self._stale_flags.__getitem__
         else:
             self._scan_width = 0
             self._stale_flags = None
             self._stale = never_stale
+        self._set_generation(0, 0)
 
         self._ins_n = 0
         self._ins_sum = 0
@@ -134,6 +131,25 @@ class SlidingFilter:
         self._q_sum = 0
         self._q_max = 0
         self.boundaries = 0
+
+    def _new_dictionary(self, seed_label: str) -> Dictionary:
+        return Dictionary(
+            element_capacity=max(self.params.dict_capacity, MIN_DICT_ELEMENTS),
+            fp_range=self.params.fp_range,
+            tag_bits=self.params.tag_bits,
+            seed=derive_seed(self.seed, seed_label),
+            tag_range=self.gen_modulus,
+        )
+
+    def _set_generation(self, gen_pos: int, gen_label: int) -> None:
+        """Set the position inside the generation, in [0, g), and the
+        current label, in [0, gen_modulus); refreshes the stale flags."""
+        self.gen_pos = gen_pos
+        self.gen_label = gen_label
+        if self._stale_flags is not None:
+            g_mod = self.gen_modulus
+            for t in range(g_mod):
+                self._stale_flags[t] = (gen_label - t) % g_mod > self.params.c
 
     @classmethod
     def create(cls, n: int, m, epsilon: float, u: int = DEFAULT_UNIVERSE,
@@ -150,9 +166,15 @@ class SlidingFilter:
 
     # -- stream interface ----------------------------------------------------
 
-    def insert(self, x: int) -> None:
+    def _check_element(self, x) -> None:
+        if type(x) is not int and (isinstance(x, bool) or not isinstance(x, int)):
+            raise TypeError(f"element must be an int, got {type(x).__name__}")
         if not 0 <= x < self.params.u:
             raise ValueError(f"element {x} outside universe [0, {self.params.u})")
+
+    def insert(self, x: int) -> None:
+        if type(x) is not int or not 0 <= x < self.params.u:
+            self._check_element(x)
         d = self._dict
         h = self.hash
         stale = self._stale
@@ -162,15 +184,15 @@ class SlidingFilter:
             d.scan_step(scan, stale)
             try:
                 d.insert_or_update(fp, self.gen_label, stale)
-            except InsertOverflow:
-                self._recover_overflow(fp)
+            except InsertOverflow as exc:
+                self._recover_overflow(exc)
                 d = self._dict
             cells = scan + d.last_op_cells
         else:
             try:
                 d.insert_or_update(fp, self.gen_label, stale)
-            except InsertOverflow:
-                self._recover_overflow(fp)
+            except InsertOverflow as exc:
+                self._recover_overflow(exc)
                 d = self._dict
             cells = d.last_op_cells
 
@@ -191,38 +213,34 @@ class SlidingFilter:
         if kicks == 0 and cells > self._ins_max_nokick:
             self._ins_max_nokick = cells
 
-    def _recover_overflow(self, pending_fp: int) -> None:
+    def _recover_overflow(self, overflow: InsertOverflow) -> None:
         """Rehash into a reseeded dictionary after a failed cuckoo walk.
 
-        The walk may have displaced one element, so the surviving live
-        cells are collected and reinserted (stale ones are dropped,
-        which only helps). Deterministic: retry seeds derive from the
-        master seed and the rebuild count. After MAX_REBUILDS_PER_INSERT
-        consecutive failures the overflow propagates to the caller.
+        The walk ended carrying one element that is in no cell (the new
+        one or an element it displaced); it is reinserted with the
+        surviving live cells (stale ones are dropped, which only helps).
+        Deterministic: retry seeds derive from the master seed and the
+        rebuild count. After MAX_REBUILDS_PER_INSERT consecutive
+        failures the overflow propagates to the caller.
         """
         stale = self._stale
+        survivors = [(fp, tag) for _idx, fp, tag in self._dict.entries() if not stale(tag)]
+        if not stale(overflow.tag):
+            survivors.append((overflow.fp, overflow.tag))
         for _ in range(MAX_REBUILDS_PER_INSERT):
-            survivors = [(fp, tag) for _idx, fp, tag in self._dict.entries()
-                         if not stale(tag)]
             self.rebuilds += 1
-            fresh = Dictionary(
-                element_capacity=self._dict.element_capacity,
-                fp_range=self.params.fp_range,
-                tag_bits=self.params.tag_bits,
-                seed=derive_seed(self.seed, f"dictionary-rebuild-{self.rebuilds}"),
-                tag_range=self.gen_modulus,
-            )
+            fresh = self._new_dictionary(f"dictionary-rebuild-{self.rebuilds}")
             try:
                 for fp, tag in survivors:
                     fresh.insert_or_update(fp, tag, never_stale)
-                fresh.insert_or_update(pending_fp, self.gen_label, never_stale)
             except InsertOverflow:
                 continue
             self._dict = fresh
             return
         raise InsertOverflow(
             f"insert still failing after {MAX_REBUILDS_PER_INSERT} "
-            f"reseeded rebuilds (element capacity {self._dict.element_capacity})"
+            f"reseeded rebuilds (element capacity {self._dict.element_capacity})",
+            overflow.fp, overflow.tag,
         )
 
     def _advance_label(self) -> int:
@@ -254,8 +272,8 @@ class SlidingFilter:
 
     def query(self, x: int) -> bool:
         """True iff x is reported in the window. Never false for window elements."""
-        if not 0 <= x < self.params.u:
-            raise ValueError(f"element {x} outside universe [0, {self.params.u})")
+        if type(x) is not int or not 0 <= x < self.params.u:
+            self._check_element(x)
         h = self.hash
         fp = ((h.a * x) % h.p) % h.range_size
         tag = self._dict.member(fp, self._stale)

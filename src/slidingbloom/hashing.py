@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .prng import SplitMix64, derive_seed
 
@@ -51,8 +52,13 @@ def is_prime(n: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=256)
 def next_prime(n: int) -> int:
-    """Smallest prime >= n."""
+    """Smallest prime >= n.
+
+    Memoized: every filter construction asks for the prime above the
+    same few universe sizes, and the Miller-Rabin search dominated it.
+    """
     if n <= 2:
         return 2
     cand = n | 1

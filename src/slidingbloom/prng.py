@@ -1,14 +1,16 @@
 """Deterministic seeding and mixing utilities.
 
 Every piece of internal randomness (hash multiplier draw, bucket
-offsets, cuckoo walk choices) flows through splitmix64, so a run is
-reproducible from one integer seed on any platform and the entire
-generator state fits in a single 64-bit word (which keeps snapshots
-trivial). The generator identity is part of the reproducibility
-contract documented in the README.
+placement multipliers and tabulation tables, cuckoo walk choices) flows
+through splitmix64, so a run is reproducible from one integer seed on
+any platform and the entire generator state fits in a single 64-bit
+word (which keeps snapshots trivial). The generator identity is part
+of the reproducibility contract documented in the README.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 MASK64 = (1 << 64) - 1
 
@@ -26,6 +28,14 @@ def splitmix64(x: int) -> int:
     x = ((x ^ (x >> 30)) * _MIX1) & MASK64
     x = ((x ^ (x >> 27)) * _MIX2) & MASK64
     return x ^ (x >> 31)
+
+
+def splitmix64_block(seed: int, count: int) -> np.ndarray:
+    """The first ``count`` outputs of ``SplitMix64(seed)``, computed as one uint64 array."""
+    x = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA) + np.uint64(seed & MASK64)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX1)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX2)
+    return x ^ (x >> np.uint64(31))
 
 
 def fnv1a64(data: bytes) -> int:

@@ -3,7 +3,7 @@
 Field order (all integers little-endian, fixed widths):
 
     magic              b"SBFSNAP1"
-    version            u16   (currently 1)
+    version            u16   (currently 2)
     mode               u8    (0 deamortized, 1 amortized)
     flags              u8    (bit0: slack m is infinite)
     n                  u64
@@ -18,34 +18,47 @@ Field order (all integers little-endian, fixed widths):
     hash_p, hash_a     u128 each
     gen_pos, gen_label, steps, boundaries, rebuilds   u64 each
     scan_width         u64
-    capacity_cells, element_capacity        u64 each
-    bucket_size        u8
-    offset_seed, walk_state, cursor, occupancy, tag_range   u64 each
-    payload_width, tag_width                u8 each
-    cells              capacity_cells records of
-                       (flags u8 [bit0 occupied, bit1 side-2],
-                        tag   tag_width bytes,
-                        payload payload_width bytes)
+    dictionary         the rest up to the trailer: ``Dictionary.to_bytes``
+                       (capacity_cells u64, element_capacity u64,
+                        bucket_size u8, placement_seed u64,
+                        walk_state u64, cursor u64, occupancy u64,
+                        tag_range u64, key_width u8, tag_width u8,
+                        then capacity_cells keys of key_width bytes and
+                        capacity_cells tags of tag_width bytes)
+    crc32              u32   (zlib.crc32 of every byte before it)
 
-The payload is the in-bucket quotient of the fingerprint; together with
-the record's position and side bit it reconstructs the fingerprint
-exactly, so a round trip is bit-exact and the reloaded filter continues
-the stream identically (instrumentation counters start fresh).
+A key is 2q + side - 1, q being the in-bucket quotient of the
+fingerprint; together with the cell's position it reconstructs the
+fingerprint exactly, so a round trip is bit-exact and the reloaded
+filter continues the stream identically (instrumentation counters start
+fresh). An all-ones key marks an empty cell, whose tag is 0.
+
+Loading checks the trailer, then every field: the derived parameters
+must validate and agree with the stored ones, the hash must be the one
+the seed draws, the generation position and label, the scan cursor,
+the tags and the quotients must lie in range, and the counters must
+agree with each other and with the cells. A blob that fails any check
+raises SnapshotError. Version 1 snapshots are refused: their cells
+were placed by an earlier placement function and would decode to other
+fingerprints.
 """
 
 from __future__ import annotations
 
 import io
 import struct
+import zlib
 
-from .dictionary import BUCKET_SIZE, Dictionary
-from .filter import SlidingFilter
-from .hashing import UniversalHash
-from .params import INFINITE, FilterParams
+from .dictionary import Dictionary
+from .filter import MIN_DICT_ELEMENTS, SlidingFilter
+from .hashing import new_hash
+from .params import INFINITE, FilterParams, InvalidParams
+from .prng import derive_seed
 
 MAGIC = b"SBFSNAP1"
-VERSION = 1
+VERSION = 2
 _U128_MAX = (1 << 128) - 1
+_CRC = struct.Struct("<I")
 
 
 class SnapshotError(ValueError):
@@ -57,16 +70,12 @@ def _u(value: int, width: int) -> bytes:
 
 
 class _Reader:
-    def __init__(self, data: bytes):
+    def __init__(self, data: bytes, start: int = 0):
         self._data = data
-        self._pos = 0
+        self._pos = start
 
     def take(self, width: int) -> int:
-        raw = self._data[self._pos:self._pos + width]
-        if len(raw) != width:
-            raise SnapshotError("truncated snapshot")
-        self._pos += width
-        return int.from_bytes(raw, "little")
+        return int.from_bytes(self.take_bytes(width), "little")
 
     def take_bytes(self, width: int) -> bytes:
         raw = self._data[self._pos:self._pos + width]
@@ -75,19 +84,14 @@ class _Reader:
         self._pos += width
         return raw
 
-    def done(self) -> bool:
-        return self._pos == len(self._data)
+    def rest(self) -> bytes:
+        return self._data[self._pos:]
 
 
 def _encode(f: SlidingFilter) -> bytes:
     p = f.params
-    d = f.dictionary
     if p.u > _U128_MAX or p.fp_range > _U128_MAX or f.hash.p > _U128_MAX:
         raise SnapshotError("parameters exceed the 128-bit snapshot field width")
-
-    tag_range = len(d._tag_counts)
-    payload_width = max(1, (((p.fp_range - 1) // d.num_buckets).bit_length() + 7) // 8)
-    tag_width = max(1, ((tag_range - 1).bit_length() + 7) // 8)
 
     out = io.BytesIO()
     out.write(MAGIC)
@@ -114,30 +118,8 @@ def _encode(f: SlidingFilter) -> bytes:
     out.write(_u(f.boundaries, 8))
     out.write(_u(f.rebuilds, 8))
     out.write(_u(f._scan_width, 8))
-    out.write(_u(d.capacity_cells, 8))
-    out.write(_u(d.element_capacity, 8))
-    out.write(_u(BUCKET_SIZE, 1))
-    out.write(_u(d._offset_seed, 8))
-    out.write(_u(d._walk.state, 8))
-    out.write(_u(d._cursor, 8))
-    out.write(_u(d._occupancy, 8))
-    out.write(_u(tag_range, 8))
-    out.write(_u(payload_width, 1))
-    out.write(_u(tag_width, 1))
-
-    occ = d._occ
-    sides = d._side
-    tags = d._tag
-    qs = d._q
-    for i in range(d.capacity_cells):
-        if occ[i]:
-            out.write(_u(1 | (2 if sides[i] == 2 else 0), 1))
-            out.write(_u(tags[i], tag_width))
-            out.write(_u(qs[i], payload_width))
-        else:
-            out.write(_u(0, 1))
-            out.write(_u(0, tag_width))
-            out.write(_u(0, payload_width))
+    out.write(f.dictionary.to_bytes())
+    out.write(_CRC.pack(zlib.crc32(out.getbuffer())))
     return out.getvalue()
 
 
@@ -147,9 +129,19 @@ def _decode(data: bytes) -> SlidingFilter:
         raise SnapshotError("bad magic")
     version = r.take(2)
     if version != VERSION:
-        raise SnapshotError(f"unsupported snapshot version {version}")
-    mode = "deamortized" if r.take(1) == 0 else "amortized"
-    infinite = r.take(1) & 1
+        raise SnapshotError(f"unsupported snapshot version {version} (this build reads "
+                            f"version {VERSION} only)")
+    if len(data) < 10 + _CRC.size:
+        raise SnapshotError("truncated snapshot")
+    body, (crc,) = data[:-_CRC.size], _CRC.unpack(data[-_CRC.size:])
+    if zlib.crc32(body) != crc:
+        raise SnapshotError("checksum mismatch: snapshot is corrupted or truncated")
+    r = _Reader(body, start=10)
+    mode_code = r.take(1)
+    flags = r.take(1)
+    if mode_code > 1 or flags > 1:
+        raise SnapshotError(f"mode {mode_code} or flags {flags} out of range")
+    mode = "deamortized" if mode_code == 0 else "amortized"
     n = r.take(8)
     m_raw = r.take(8)
     (epsilon,) = struct.unpack("<d", r.take_bytes(8))
@@ -161,13 +153,18 @@ def _decode(data: bytes) -> SlidingFilter:
     fp_range = r.take(16)
     gen_modulus = r.take(8)
     tag_bits = r.take(1)
+    if flags and m_raw:
+        raise SnapshotError(f"slack {m_raw} stored for an infinite-slack filter")
 
     params = FilterParams(
-        n=n, m=INFINITE if infinite else m_raw, epsilon=epsilon, u=u,
+        n=n, m=INFINITE if flags else m_raw, epsilon=epsilon, u=u,
         c=c, g=g, n_prime=n_prime, fp_range=fp_range,
         gen_modulus=gen_modulus, tag_bits=tag_bits,
     )
-    params.validate()
+    try:
+        params.validate()
+    except InvalidParams as exc:
+        raise SnapshotError(f"snapshot parameters invalid: {exc}") from None
 
     hash_p = r.take(16)
     hash_a = r.take(16)
@@ -177,76 +174,36 @@ def _decode(data: bytes) -> SlidingFilter:
     boundaries = r.take(8)
     rebuilds = r.take(8)
     scan_width = r.take(8)
-    capacity_cells = r.take(8)
-    element_capacity = r.take(8)
-    bucket_size = r.take(1)
-    if bucket_size != BUCKET_SIZE:
-        raise SnapshotError(f"snapshot bucket size {bucket_size} != {BUCKET_SIZE}")
-    offset_seed = r.take(8)
-    walk_state = r.take(8)
-    cursor = r.take(8)
-    occupancy = r.take(8)
-    tag_range = r.take(8)
-    payload_width = r.take(1)
-    tag_width = r.take(1)
 
-    f = SlidingFilter(params, seed, mode=mode)
-    if hash_p < max(params.u, params.fp_range) or not 1 <= hash_a < hash_p:
-        raise SnapshotError("snapshot hash parameters out of range")
-    f.hash = UniversalHash(p=hash_p, a=hash_a, range_size=params.fp_range)
-    d = f.dictionary
-    if d.capacity_cells != capacity_cells or d.element_capacity != element_capacity:
-        raise SnapshotError("snapshot geometry disagrees with derived parameters")
-    if len(d._tag_counts) != tag_range:
-        raise SnapshotError("snapshot tag range disagrees with derived parameters")
+    # the hash and the labels are drawn or cycled exactly as a filter of
+    # these parameters would, so anything else is damage
+    expected = new_hash(u, fp_range, derive_seed(seed, "fingerprint"))
+    if (hash_p, hash_a) != (expected.p, expected.a):
+        raise SnapshotError("snapshot hash parameters disagree with its seed")
+    label_modulus = c + 2 if mode == "amortized" else gen_modulus
+    if gen_pos >= g:
+        raise SnapshotError(f"gen_pos {gen_pos} outside [0, {g})")
+    if gen_label >= label_modulus:
+        raise SnapshotError(f"gen_label {gen_label} outside [0, {label_modulus})")
+    if steps != boundaries * g + gen_pos or gen_label != boundaries % label_modulus:
+        raise SnapshotError("stream counters disagree with the generation position")
 
-    d._offset_seed = offset_seed
-    d._init_placement()
-    d._walk.state = walk_state
-    d._cursor = cursor
+    try:
+        d = Dictionary.from_bytes(
+            r.rest(),
+            element_capacity=max(params.dict_capacity, MIN_DICT_ELEMENTS),
+            fp_range=fp_range, tag_bits=tag_bits, tag_range=label_modulus,
+        )
+    except ValueError as exc:
+        raise SnapshotError(f"snapshot cells invalid: {exc}") from None
 
-    occ = d._occ
-    sides = d._side
-    tags = d._tag
-    qs = d._q
-    counts = [0] * tag_range
-    live = 0
-    for i in range(capacity_cells):
-        flags = r.take(1)
-        tag = r.take(tag_width)
-        payload = r.take(payload_width)
-        if flags & 1:
-            if tag >= tag_range:
-                raise SnapshotError(f"cell {i}: tag {tag} out of range")
-            occ[i] = 1
-            sides[i] = 2 if flags & 2 else 1
-            tags[i] = tag
-            qs[i] = payload
-            counts[tag] += 1
-            live += 1
-        else:
-            occ[i] = 0
-            sides[i] = 0
-            tags[i] = 0
-            qs[i] = 0
-    if not r.done():
-        raise SnapshotError("trailing bytes after cell array")
-    if live != occupancy:
-        raise SnapshotError(f"occupancy field {occupancy} != {live} occupied cells")
-    d._occupancy = live
-    d._tag_counts = counts
-
-    f.gen_pos = gen_pos
-    f.gen_label = gen_label
+    f = SlidingFilter(params, seed, mode=mode, dictionary=d)
+    if scan_width != f._scan_width:
+        raise SnapshotError("snapshot scan width disagrees with derived parameters")
+    f._set_generation(gen_pos, gen_label)
     f.steps = steps
     f.boundaries = boundaries
     f.rebuilds = rebuilds
-    if mode == "deamortized":
-        if scan_width != f._scan_width:
-            raise SnapshotError("snapshot scan width disagrees with derived parameters")
-        flags_arr = f._stale_flags
-        for t in range(params.gen_modulus):
-            flags_arr[t] = 0 if (gen_label - t) % params.gen_modulus <= params.c else 1
     return f
 
 

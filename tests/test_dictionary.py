@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slidingbloom import BUCKET_SIZE, Dictionary, InsertOverflow, never_stale
-from slidingbloom.prng import SplitMix64
+from slidingbloom import BUCKET_SIZE, Dictionary, InsertOverflow, dictionary, never_stale
+from slidingbloom.prng import SplitMix64, derive_seed, splitmix64_block
 
 
 def make(cap=100, fp_range=100_000, tag_bits=4, seed=0, **kw):
@@ -138,22 +138,18 @@ def test_stale_cells_never_block_insert():
     d = make(cap=60, fp_range=10**6, seed=9)
     target = 555_000
     b1, b2 = d.buckets_for(target)
+
+    def filled(bucket):
+        return sum(1 for i, _fp, _t in d.entries() if i // BUCKET_SIZE == bucket)
+
     rng = SplitMix64(4)
-    jammed = []
-    while True:
+    while filled(b1) < BUCKET_SIZE or filled(b2) < BUCKET_SIZE:
         fp = rng.below(10**6)
-        if fp == target:
-            continue
-        x1, x2 = d.buckets_for(fp)
-        if x1 == b1 or x1 == b2 or x2 == b1 or x2 == b2:
+        if fp != target and {b1, b2} & set(d.buckets_for(fp)):
             d.insert_or_update(fp, 3, never_stale)
-            jammed.append(fp)
-            full1 = sum(d._occ[b1 * BUCKET_SIZE + k] for k in range(BUCKET_SIZE))
-            full2 = sum(d._occ[b2 * BUCKET_SIZE + k] for k in range(BUCKET_SIZE))
-            if full1 == BUCKET_SIZE and full2 == BUCKET_SIZE:
-                break
     d.insert_or_update(target, 1, lambda t: t == 3)
     assert d.last_op_kicks == 0
+    assert d.last_op_cells == 2 * BUCKET_SIZE
     assert d.member(target, never_stale) == 1
     d.check_consistency()
 
@@ -230,3 +226,136 @@ def test_random_op_sequences_keep_invariants(ops):
     d.check_consistency()
     assert d.occupancy() == len(live)
     assert {f for _i, f, _t in d.entries()} == set(live)
+
+
+def test_tabulation_block_matches_scalar_generator():
+    # the vectorized table draw must be the scalar splitmix64 stream
+    for seed in (0, 1, 2**63 + 5, 2**64 - 1):
+        rng = SplitMix64(seed)
+        assert splitmix64_block(seed, 300).tolist() == [rng.next64() for _ in range(300)]
+
+
+@pytest.mark.parametrize("quotient_bits", [0, 5, 12, 13, 22, 24, 36, 72])
+def test_tabulation_matches_its_tables(quotient_bits):
+    # the unrolled one- and two-character forms agree with a plain loop
+    # over the tables, each character at most 12 bits wide
+    mix = dictionary._tabulation(7, quotient_bits)
+    chars = max(1, -(-quotient_bits // 12))
+    bits = -(-quotient_bits // chars)
+    assert bits <= 12
+    words = splitmix64_block(derive_seed(7, "tabulation"), chars << bits).tolist()
+    rng = SplitMix64(quotient_bits)
+    for _ in range(200):
+        q = rng.below(1 << quotient_bits)
+        h = 0
+        for i in range(chars):
+            h ^= words[(i << bits) + ((q >> (i * bits)) & ((1 << bits) - 1))]
+        assert mix(q) == h
+
+
+def test_placement_keeps_no_state_per_quotient_class():
+    d = make(cap=100, fp_range=2**40)
+    sizes = {k: len(v) for k, v in vars(d).items() if hasattr(v, "__len__")}
+    rng = SplitMix64(3)
+    for i in range(5000):
+        d.member(rng.below(2**40), never_stale)
+        d.insert_or_update(rng.below(2**40), i % 16, lambda t: t != i % 16)
+    assert {k: len(v) for k, v in vars(d).items() if hasattr(v, "__len__")} == sizes
+
+
+def test_insert_overflow_carries_the_homeless_element(monkeypatch):
+    monkeypatch.setattr(dictionary, "MAX_KICKS", 5)
+    d = make(cap=200, fp_range=10**9, seed=2)
+    rng = SplitMix64(6)
+    inserted = []
+    with pytest.raises(InsertOverflow) as info:
+        for _ in range(10_000):
+            inserted.append(rng.below(10**9))
+            d.insert_or_update(inserted[-1], len(inserted) % 7, never_stale)
+    homeless = info.value
+    stored = {fp: tag for _i, fp, tag in d.entries()}
+    assert homeless.fp not in stored
+    stored[homeless.fp] = homeless.tag
+    assert set(stored) == set(inserted)
+    assert all(stored[fp] == (i + 1) % 7 for i, fp in enumerate(inserted))
+
+
+def wide_dictionary():
+    d = make(cap=300, fp_range=2**80, tag_bits=5, seed=4)
+    rng = SplitMix64(9)
+    fps = {rng.below(2**80) for _ in range(250)}
+    for i, fp in enumerate(sorted(fps)):
+        d.insert_or_update(fp, i % 20, never_stale)
+    return d, fps
+
+
+def test_wide_quotients_use_exact_keys():
+    d, fps = wide_dictionary()
+    assert isinstance(d._keys, list)
+    assert {fp for _i, fp, _t in d.entries()} == fps
+    assert all(d.member(fp, never_stale) is not None for fp in fps)
+    assert d.delete(min(fps)) and d.member(min(fps), never_stale) is None
+    d.check_consistency()
+
+
+def codec_args(d):
+    return dict(element_capacity=d.element_capacity, fp_range=d.fp_range,
+                tag_bits=d.tag_bits, tag_range=d.tag_range)
+
+
+def filled(fp_range=10**7, seed=5):
+    d = make(cap=300, fp_range=fp_range, tag_bits=5, seed=seed)
+    rng = SplitMix64(seed)
+    for i in range(260):
+        d.insert_or_update(rng.below(fp_range), i % 20, never_stale)
+    d.scan_step(37, lambda t: t == 3)
+    return d
+
+
+@pytest.mark.parametrize("fp_range", [10**3, 10**7, 10**12, 2**80])
+def test_codec_roundtrip(fp_range):
+    d = filled(fp_range)
+    blob = d.to_bytes()
+    e = Dictionary.from_bytes(blob, **codec_args(d))
+    assert e.to_bytes() == blob
+    assert list(e.entries()) == list(d.entries())
+    assert e._cursor == d._cursor and e._walk.state == d._walk.state
+    e.check_consistency()
+
+
+def _cell_planes(d):
+    header = 8 + 8 + 1 + 8 * 5 + 2
+    return header, header + d.capacity_cells * d._key_width
+
+
+def test_codec_range_checks():
+    d = filled()
+    blob = d.to_bytes()
+    args = codec_args(d)
+    keys_at, tags_at = _cell_planes(d)
+    occupied = next(i for i, _fp, _t in d.entries())
+    free = next(i for i in range(d.capacity_cells) if d._keys[i] == d._empty)
+    kw, tw = d._key_width, d._tag_width
+
+    def patched(offset, value, width):
+        b = bytearray(blob)
+        b[offset:offset + width] = value.to_bytes(width, "little")
+        return bytes(b)
+
+    bad = {
+        "cursor": patched(33, d.capacity_cells, 8),
+        "occupancy": patched(41, d.occupancy() + 1, 8),
+        "tag": patched(tags_at + occupied * tw, d.tag_range, tw),
+        "quotient": patched(keys_at + occupied * kw, 2 * (d._q_max + 1), kw),
+        "empty tag": patched(tags_at + free * tw, 1, tw),
+        "bucket size": patched(16, 8, 1),
+        "key width": patched(57, kw + 1, 1),
+    }
+    for what, data in bad.items():
+        with pytest.raises(ValueError):
+            Dictionary.from_bytes(data, **args)
+    for cut in (0, 10, keys_at, len(blob) - 1):
+        with pytest.raises(ValueError):
+            Dictionary.from_bytes(blob[:cut], **args)
+    with pytest.raises(ValueError):
+        Dictionary.from_bytes(blob, **(args | {"element_capacity": d.element_capacity + 1}))

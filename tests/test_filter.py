@@ -1,4 +1,8 @@
+import gc
+import io
 import math
+import sys
+import tracemalloc
 
 import pytest
 
@@ -9,6 +13,7 @@ from slidingbloom import (
     SlidingFilter,
     WindowOracle,
     derive,
+    dictionary,
 )
 from slidingbloom.prng import SplitMix64
 
@@ -232,3 +237,96 @@ def test_cost_report_bounds():
     assert cost.max_kick_chain < 500
     assert cost.inserts == 8000 and cost.queries == 4000
     assert cost.insert_cells_mean >= 2  # scan alone touches that much
+
+
+def test_overflow_recovery_keeps_every_window_element(monkeypatch):
+    # a short kick budget forces reseeded rebuilds; the element the failed
+    # walk was carrying must survive each of them
+    monkeypatch.setattr(dictionary, "MAX_KICKS", 30)
+    n = m = 2000
+    rebuilds = 0
+    for seed in range(6):
+        f = SlidingFilter.create(n, m, 2**-8, seed=seed)
+        o = WindowOracle(n, m)
+        rng = SplitMix64(seed + 100)
+        seen = 0
+        for t in range(12_000):
+            x = rng.below(2**63)
+            f.insert(x)
+            o.push(x)
+            if f.rebuilds != seen or t % 1000 == 999:
+                seen = f.rebuilds
+                missed = [w for w in o.window_distinct() if not f.query(w)]
+                assert not missed, (seed, t, len(missed))
+        f.dictionary.check_consistency()
+        rebuilds += f.rebuilds
+    assert rebuilds >= 6
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.5, 2.0, "7", None, 10**20 + 0.5])
+def test_non_integer_elements_rejected_before_any_change(bad):
+    f = SlidingFilter.create(50, 50, 2**-6, seed=3)
+    for x in range(120):
+        f.insert(x)
+    before = io.BytesIO()
+    f.save(before)
+    with pytest.raises(TypeError):
+        f.insert(bad)
+    with pytest.raises(TypeError):
+        f.query(bad)
+    after = io.BytesIO()
+    f.save(after)
+    assert after.getvalue() == before.getvalue()
+
+
+def test_resident_memory_bounded_after_first_label_cycle():
+    # placement keeps no per-quotient-class state: 400k distinct inserts
+    # over 22-bit quotients must not grow the heap once the filter is warm.
+    # Tracing every allocation slows an insert about 30x, so the whole run
+    # counts live allocator blocks (at most 512 bytes each) and a final
+    # stretch is traced byte for byte.
+    f = SlidingFilter.create(1000, INFINITE, 2**-20, seed=5)
+    assert f.dictionary.quotient_bits >= 20
+    rng = SplitMix64(17)
+    cycle = f.gen_modulus * f.params.g
+    traced = 2000
+    for _ in range(cycle):
+        f.insert(rng.below(2**64))
+    gc.collect()
+    blocks = sys.getallocatedblocks()
+    for _ in range(400_000 - cycle - traced):
+        f.insert(rng.below(2**64))
+    gc.collect()
+    assert (sys.getallocatedblocks() - blocks) * 512 < 2**20
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in range(traced):
+            f.insert(rng.below(2**64))
+        growth = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert growth < 16 * 1024, growth
+
+
+def test_widest_quotients_round_trip():
+    # eps = 2^-70 over a 100-bit universe: 72-bit quotients, wider than
+    # any typed array, still insert, answer and snapshot exactly
+    f = SlidingFilter.create(1000, 1000, 2**-70, u=2**100, seed=9)
+    assert f.dictionary.quotient_bits == 72
+    rng = SplitMix64(4)
+    xs = [rng.below(2**100) for _ in range(3000)]
+    for x in xs:
+        f.insert(x)
+    assert all(f.query(x) for x in xs[-1000:])
+    assert not any(f.query(rng.below(2**100)) for _ in range(1000))
+    g = SlidingFilter.load(io.BytesIO(_snapshot(f)))
+    assert _snapshot(g) == _snapshot(f)
+    assert all(g.query(x) for x in xs[-1000:])
+    g.dictionary.check_consistency()
+
+
+def _snapshot(f):
+    buf = io.BytesIO()
+    f.save(buf)
+    return buf.getvalue()

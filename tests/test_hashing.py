@@ -18,6 +18,13 @@ def test_prime_search():
     assert next_prime(2**64) == 18446744073709551629
 
 
+def test_prime_search_memoized():
+    next_prime(2**64)
+    hits = next_prime.cache_info().hits
+    assert new_hash(2**64, 10**6, 7).p == 18446744073709551629
+    assert next_prime.cache_info().hits == hits + 1
+
+
 def test_new_hash_modulus_choice():
     h = new_hash(17, 5, seed=1)
     assert h.p == 17 and 1 <= h.a <= 16
