@@ -15,6 +15,7 @@ from .filter import (
     LabelReuseViolation,
     SlidingFilter,
     SpaceReport,
+    UnrecoverableOverflow,
 )
 from .harness import (
     FpCensus,
@@ -60,6 +61,7 @@ __all__ = [
     "SpaceReport",
     "SpaceVsBounds",
     "UniversalHash",
+    "UnrecoverableOverflow",
     "WindowOracle",
     "census_false_positives",
     "collision_prob_check",

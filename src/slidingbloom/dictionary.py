@@ -11,8 +11,7 @@ invertible) and mix_1, mix_2 are seeded functions of q. A cell
 therefore stores just (q, side, tag): the bucket index it sits in plus
 the side invert the affine map and reconstruct fp exactly, so the
 structure is lossless while storing far fewer bits per cell than the
-full fingerprint. ``bits_used`` can account either way (quotient
-layout or full-fingerprint layout).
+full fingerprint.
 
 The placement shape is load-bearing: fingerprints arrive from a linear
 hash, so streams of consecutive elements produce arithmetic
@@ -38,8 +37,9 @@ Storage is typed. A cell holds one key 2q + side - 1 in an unsigned
 ``array.array`` (a Python list once keys outgrow 64 bits), with the
 all-ones value of the key width marking an empty cell, and one tag in
 a second typed array. An empty cell's tag is 0. ``to_bytes`` and
-``from_bytes`` move the whole state in bulk and range-check it on the
-way in.
+``restore`` move the state that cannot be derived from the constructor
+arguments (placement seed, walk state, scan cursor and the cells) in
+bulk, range-checking it on the way in.
 
 Staleness is the caller's notion: operations that may mutate take a
 ``stale(tag) -> bool`` predicate. An insert reclaims the stale cells of
@@ -77,10 +77,8 @@ _MAX_CHAR_BITS = 12
 # unsigned array typecode for each item width in bytes
 _TYPECODES = {array(code).itemsize: code for code in "QLIHB"}
 
-# to_bytes header: capacity_cells, element_capacity, bucket_size,
-# placement_seed, walk_state, cursor, occupancy, tag_range, key_width,
-# tag_width
-_HEADER = struct.Struct("<QQBQQQQQBB")
+# to_bytes header: placement_seed, walk_state, cursor
+_HEADER = struct.Struct("<QQQ")
 
 
 class InsertOverflow(RuntimeError):
@@ -154,7 +152,6 @@ def _tabulation(placement_seed: int, quotient_bits: int):
 class DictSpaceReport:
     """Itemized notional bit layout of one dictionary."""
 
-    accounting: str  # "quotient" or "full"
     capacity_cells: int
     cell_bits: int
     cells_total_bits: int
@@ -176,14 +173,7 @@ class Dictionary:
         tag_bits: int,
         seed: int,
         tag_range: int | None = None,
-        full_fp_accounting: bool = False,
     ):
-        self._setup(element_capacity, fp_range, tag_bits, tag_range,
-                    derive_seed(seed, "bucket-placement"),
-                    derive_seed(seed, "cuckoo-walk"), full_fp_accounting)
-
-    def _setup(self, element_capacity, fp_range, tag_bits, tag_range,
-               placement_seed, walk_state, full_fp_accounting=False) -> None:
         if element_capacity < 1:
             raise ValueError("element_capacity must be >= 1")
         if fp_range < 1:
@@ -197,7 +187,6 @@ class Dictionary:
         self.fp_range = fp_range
         self.tag_bits = tag_bits
         self.tag_range = tag_range if tag_range is not None else 1 << tag_bits
-        self.full_fp_accounting = full_fp_accounting
 
         # keys 2q + side - 1 run up to 2*q_max + 1; the all-ones value of
         # the key width stays above them and marks an empty cell
@@ -212,9 +201,9 @@ class Dictionary:
             self._keys = array(code, [self._empty]) * self.capacity_cells
         self._tags = array(_TYPECODES[self._tag_width], [0]) * self.capacity_cells
 
-        self._placement_seed = placement_seed
+        self._placement_seed = derive_seed(seed, "bucket-placement")
         self._init_placement()
-        self._walk = SplitMix64(walk_state)
+        self._walk = SplitMix64(derive_seed(seed, "cuckoo-walk"))
 
         self._cursor = 0
         self._occupancy = 0
@@ -421,33 +410,15 @@ class Dictionary:
         self._occupancy -= freed
         return freed
 
-    def delete(self, fp: int) -> bool:
-        """Free the cell holding fp (stale or not); True if it was present."""
-        keys = self._keys
-        key = (fp // self.num_buckets) << 1
-        self.last_op_cells = BUCKET_SIZE
-        for b in self.buckets_for(fp):
-            base = b * BUCKET_SIZE
-            cells = keys[base:base + BUCKET_SIZE]
-            if key in cells:
-                i = base + cells.index(key)
-                keys[i] = self._empty
-                self._tag_counts[self._tags[i]] -= 1
-                self._tags[i] = 0
-                self._occupancy -= 1
-                return True
-            key += 1
-            self.last_op_cells = 2 * BUCKET_SIZE
-        return False
-
     def scan_step(self, k: int, stale) -> int:
         """Advance the scan cursor over k cells, freeing stale occupants.
 
         Returns the number of cells freed. Any ceil(capacity_cells/k)
-        consecutive calls visit every cell at least once.
+        consecutive calls visit every cell at least once; k = 0 visits
+        none.
         """
-        if k < 1:
-            raise ValueError("scan width must be >= 1")
+        if k < 0:
+            raise ValueError("scan width must be >= 0")
         cap = self.capacity_cells
         cur = self._cursor
         stop = cur + k
@@ -479,19 +450,10 @@ class Dictionary:
         return self._q_max.bit_length()
 
     def bits_used(self) -> DictSpaceReport:
-        """Notional packed size of the structure, itemized.
-
-        Quotient accounting (default): occupied flag + quotient + side
-        bit + tag per cell. Full accounting: occupied flag + whole
-        fingerprint + tag per cell (the side is then derivable from the
-        value, so no side bit).
-        """
-        if self.full_fp_accounting:
-            accounting = "full"
-            cell_bits = 1 + (self.fp_range - 1).bit_length() + self.tag_bits
-        else:
-            accounting = "quotient"
-            cell_bits = 1 + self.quotient_bits + 1 + self.tag_bits
+        """Notional packed size of the structure, itemized: an occupied
+        flag, the quotient, the side bit and the tag per cell, plus the
+        cursor, occupancy, seed and walk-state words."""
+        cell_bits = 1 + self.quotient_bits + 1 + self.tag_bits
         cells_total = self.capacity_cells * cell_bits
         cursor_bits = max(1, (self.capacity_cells - 1).bit_length())
         occupancy_bits = max(1, self.capacity_cells.bit_length())
@@ -499,7 +461,6 @@ class Dictionary:
         walk_state_bits = 64
         overhead = cursor_bits + occupancy_bits + seed_bits + walk_state_bits
         return DictSpaceReport(
-            accounting=accounting,
             capacity_cells=self.capacity_cells,
             cell_bits=cell_bits,
             cells_total_bits=cells_total,
@@ -540,88 +501,73 @@ class Dictionary:
     # -- bulk codec -------------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        """The whole state, little-endian: a fixed header, then the key and tag planes.
+        """The state ``restore`` reads back, little-endian: the placement
+        seed, walk state and scan cursor (u64 each), then the key and tag
+        planes.
 
         Planes hold capacity_cells items of key_width and tag_width
-        bytes, in cell order.
+        bytes, in cell order. Geometry, widths, occupancy and tag counts
+        follow from the constructor arguments and the cells, so they are
+        not written.
         """
-        header = _HEADER.pack(
-            self.capacity_cells, self.element_capacity, BUCKET_SIZE,
-            self._placement_seed, self._walk.state, self._cursor, self._occupancy,
-            self.tag_range, self._key_width, self._tag_width,
-        )
+        header = _HEADER.pack(self._placement_seed, self._walk.state, self._cursor)
         if isinstance(self._keys, list):
             key_plane = b"".join(k.to_bytes(self._key_width, "little") for k in self._keys)
         else:
             key_plane = _little_endian(self._keys)
         return header + key_plane + _little_endian(self._tags)
 
-    @classmethod
-    def from_bytes(cls, data, element_capacity: int, fp_range: int, tag_bits: int,
-                   tag_range: int) -> "Dictionary":
-        """Rebuild a dictionary from ``to_bytes`` output, all of ``data``.
+    def restore(self, data) -> None:
+        """Replace the whole state with ``to_bytes`` output, all of ``data``,
+        from a dictionary built with the same constructor arguments.
 
-        The geometry must match the given arguments. Raises ValueError
-        on a length, geometry or range mismatch: a cursor or tag out of
-        range, a quotient above the fingerprint range, a nonzero tag in
-        an empty cell, or an occupancy field that disagrees with the
-        cells. Structural invariants that need a full decode (no
-        duplicates) are left to ``check_consistency``.
+        Raises ValueError, leaving the dictionary unchanged, on a length
+        mismatch, a cursor or tag out of range, a quotient above the
+        fingerprint range, or a nonzero tag in an empty cell. Structural
+        invariants that need a full decode (no duplicates) are left to
+        ``check_consistency``. The placement tables are drawn again only
+        if the placement seed differs from this dictionary's.
         """
         data = memoryview(data).cast("B")
-        if len(data) < _HEADER.size:
-            raise ValueError("truncated dictionary header")
-        (capacity_cells, stored_capacity, bucket_size, placement_seed, walk_state,
-         cursor, occupancy, stored_tag_range, key_width, tag_width) = _HEADER.unpack_from(data)
-        if bucket_size != BUCKET_SIZE:
-            raise ValueError(f"bucket size {bucket_size} != {BUCKET_SIZE}")
-        if stored_capacity != element_capacity or stored_tag_range != tag_range:
-            raise ValueError("dictionary geometry disagrees with the filter parameters")
-        cap = _capacity_cells(element_capacity)
-        if capacity_cells != cap or key_width < 1 or tag_width < 1:
-            raise ValueError("dictionary cell layout disagrees with the filter parameters")
-        # checked before anything of that size is allocated
+        cap, key_width, tag_width = self.capacity_cells, self._key_width, self._tag_width
         key_end = _HEADER.size + cap * key_width
         if len(data) != key_end + cap * tag_width:
             raise ValueError(f"dictionary section holds {len(data)} bytes, "
                              f"expected {key_end + cap * tag_width}")
-
-        d = cls.__new__(cls)
-        d._setup(element_capacity, fp_range, tag_bits, tag_range, placement_seed, walk_state)
-        if (key_width, tag_width) != (d._key_width, d._tag_width):
-            raise ValueError("dictionary cell widths disagree with the filter parameters")
+        placement_seed, walk_state, cursor = _HEADER.unpack_from(data)
         if cursor >= cap:
             raise ValueError(f"scan cursor {cursor} outside [0, {cap})")
 
         key_plane = data[_HEADER.size:key_end]
-        tag_plane = data[key_end:]
-        if isinstance(d._keys, list):
+        if isinstance(self._keys, list):
             keys = [int.from_bytes(key_plane[i:i + key_width], "little")
                     for i in range(0, len(key_plane), key_width)]
-            occupied = np.fromiter((k != d._empty for k in keys), dtype=bool, count=cap)
-            top = max((k for k in keys if k != d._empty), default=0)
+            occupied = np.fromiter((k != self._empty for k in keys), dtype=bool, count=cap)
+            top = max((k for k in keys if k != self._empty), default=0)
         else:
             plane = np.frombuffer(key_plane, dtype=f"<u{key_width}")
-            occupied = plane != d._empty
+            occupied = plane != self._empty
             top = int(plane[occupied].max()) if occupied.any() else 0
-            keys = array(d._keys.typecode, plane.astype(f"=u{key_width}").tobytes())
-        if top >> 1 > d._q_max:
-            raise ValueError(f"quotient {top >> 1} outside [0, {d._q_max}]")
-        tags = np.frombuffer(tag_plane, dtype=f"<u{tag_width}")
+            keys = array(self._keys.typecode, plane.astype(f"=u{key_width}").tobytes())
+        if top >> 1 > self._q_max:
+            raise ValueError(f"quotient {top >> 1} outside [0, {self._q_max}]")
+        tags = np.frombuffer(data[key_end:], dtype=f"<u{tag_width}")
         live_tags = tags[occupied]
-        if live_tags.size and int(live_tags.max()) >= tag_range:
-            raise ValueError(f"tag {int(live_tags.max())} outside [0, {tag_range})")
+        if live_tags.size and int(live_tags.max()) >= self.tag_range:
+            raise ValueError(f"tag {int(live_tags.max())} outside [0, {self.tag_range})")
         if tags[~occupied].any():
             raise ValueError("nonzero tag in an empty cell")
-        if live_tags.size != occupancy:
-            raise ValueError(f"occupancy field {occupancy} != {live_tags.size} occupied cells")
 
-        d._keys = keys
-        d._tags = array(d._tags.typecode, tags.astype(f"=u{tag_width}").tobytes())
-        d._cursor = cursor
-        d._occupancy = occupancy
-        d._tag_counts = np.bincount(live_tags.astype(np.int64), minlength=tag_range).tolist()
-        return d
+        if placement_seed != self._placement_seed:
+            self._placement_seed = placement_seed
+            self._init_placement()
+        self._walk.state = walk_state
+        self._cursor = cursor
+        self._keys = keys
+        self._tags = array(self._tags.typecode, tags.astype(f"=u{tag_width}").tobytes())
+        self._occupancy = live_tags.size
+        self._tag_counts = np.bincount(live_tags.astype(np.int64),
+                                       minlength=self.tag_range).tolist()
 
 
 def _little_endian(items: array) -> bytes:

@@ -51,6 +51,31 @@ MIN_DICT_ELEMENTS = 64
 MAX_REBUILDS_PER_INSERT = 3
 
 
+class UnrecoverableOverflow(InsertOverflow):
+    """Every reseeded rebuild after an insert overflow failed.
+
+    The element the failed walk carried is in no cell, so the filter
+    could answer No inside the window. It refuses further use: this is
+    raised by the failing insert and by every later insert, query, save
+    or inspection of the filter.
+    """
+
+
+class _Unusable:
+    """Stands in for the dictionary of a filter that lost an element.
+
+    Any attribute access raises UnrecoverableOverflow, so every path
+    that touches the dictionary refuses without a check of its own.
+    """
+
+    def __init__(self, error: UnrecoverableOverflow):
+        self._error = error
+
+    def __getattr__(self, name):
+        error = self._error
+        raise UnrecoverableOverflow(str(error), error.fp, error.tag)
+
+
 class LabelReuseViolation(AssertionError):
     """Debug hook: a generation label was reused while cells still carried it."""
 
@@ -88,9 +113,16 @@ class SlidingFilter:
     """Approximate membership over the last n stream elements."""
 
     def __init__(self, params: FilterParams, seed: int, mode: str = "deamortized",
-                 debug: bool = False, dictionary: Dictionary | None = None):
-        """Build an empty filter; ``dictionary``, if given, is adopted in place
-        of an empty one (snapshot loading restores the cells this way)."""
+                 debug: bool = False):
+        """Build an empty filter.
+
+        ``params`` must pass ``FilterParams.validate`` (``create`` derives
+        them from n, m, epsilon and u). The fingerprint hash, the
+        dictionary's placement and its cuckoo walk all derive from
+        ``seed``. ``mode`` is "deamortized" (the default) or "amortized";
+        see the module docstring. ``debug`` turns on the label-reuse and
+        active-count checks at generation boundaries.
+        """
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         params.validate()
@@ -103,9 +135,7 @@ class SlidingFilter:
             params.u, params.fp_range, derive_seed(seed, "fingerprint")
         )
         self.rebuilds = 0
-        if dictionary is None:
-            dictionary = self._new_dictionary("dictionary")
-        self._dict = dictionary
+        self._dict = self._new_dictionary("dictionary")
 
         self.steps = 0
 
@@ -140,6 +170,21 @@ class SlidingFilter:
             seed=derive_seed(self.seed, seed_label),
             tag_range=self.gen_modulus,
         )
+
+    def restore(self, steps: int, rebuilds: int, cells) -> None:
+        """Resume saved state in this freshly built filter.
+
+        ``steps`` is the stream position, from which the generation
+        position, boundary count and label follow; ``cells`` is the
+        dictionary state (``Dictionary.to_bytes`` output). Raises
+        ValueError, before anything changes, if the cells do not fit
+        this filter's dictionary.
+        """
+        self._dict.restore(cells)
+        self.steps = steps
+        self.rebuilds = rebuilds
+        self.boundaries, gen_pos = divmod(steps, self.params.g)
+        self._set_generation(gen_pos, self.boundaries % self.gen_modulus)
 
     def _set_generation(self, gen_pos: int, gen_label: int) -> None:
         """Set the position inside the generation, in [0, g), and the
@@ -179,23 +224,14 @@ class SlidingFilter:
         h = self.hash
         stale = self._stale
         fp = ((h.a * x) % h.p) % h.range_size
-        if self.mode == "deamortized":
-            scan = self._scan_width
-            d.scan_step(scan, stale)
-            try:
-                d.insert_or_update(fp, self.gen_label, stale)
-            except InsertOverflow as exc:
-                self._recover_overflow(exc)
-                d = self._dict
-            cells = scan + d.last_op_cells
-        else:
-            try:
-                d.insert_or_update(fp, self.gen_label, stale)
-            except InsertOverflow as exc:
-                self._recover_overflow(exc)
-                d = self._dict
-            cells = d.last_op_cells
-
+        scan = self._scan_width  # 0 in amortized mode
+        d.scan_step(scan, stale)
+        try:
+            d.insert_or_update(fp, self.gen_label, stale)
+        except InsertOverflow as exc:
+            self._recover_overflow(exc)
+            d = self._dict
+        cells = scan + d.last_op_cells
         kicks = d.last_op_kicks
 
         self.steps += 1
@@ -221,7 +257,8 @@ class SlidingFilter:
         surviving live cells (stale ones are dropped, which only helps).
         Deterministic: retry seeds derive from the master seed and the
         rebuild count. After MAX_REBUILDS_PER_INSERT consecutive
-        failures the overflow propagates to the caller.
+        failures the element stays lost, so the filter raises
+        UnrecoverableOverflow now and on every later use.
         """
         stale = self._stale
         survivors = [(fp, tag) for _idx, fp, tag in self._dict.entries() if not stale(tag)]
@@ -237,11 +274,14 @@ class SlidingFilter:
                 continue
             self._dict = fresh
             return
-        raise InsertOverflow(
-            f"insert still failing after {MAX_REBUILDS_PER_INSERT} "
-            f"reseeded rebuilds (element capacity {self._dict.element_capacity})",
+        error = UnrecoverableOverflow(
+            f"insert still failing after {MAX_REBUILDS_PER_INSERT} reseeded rebuilds "
+            f"(element capacity {self._dict.element_capacity}); an element is lost "
+            f"and the filter refuses further use",
             overflow.fp, overflow.tag,
         )
+        self._dict = _Unusable(error)
+        raise error
 
     def _advance_label(self) -> int:
         g_mod = self.gen_modulus

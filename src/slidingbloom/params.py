@@ -118,13 +118,7 @@ def derive(n: int, m, epsilon: float, u: int) -> FilterParams:
     elements always fall inside the slack zone.
     """
     _check_nme(n, m, epsilon)
-    if not isinstance(u, int) or isinstance(u, bool) or u < 2:
-        raise InvalidParams(f"universe size u must be an integer >= 2, got {u!r}")
     eps = Fraction(epsilon)
-    if Fraction(n) >= eps * u:
-        raise InvalidParams(
-            f"need n < epsilon*u, got n={n}, epsilon*u={float(eps * u):.6g}"
-        )
 
     slack_term = 1 if _is_infinite(m) else -(-n // m)
     c = max(_ceil_log2_inv(epsilon), slack_term)

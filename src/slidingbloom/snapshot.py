@@ -1,9 +1,13 @@
 """Versioned binary snapshots of a filter.
 
-Field order (all integers little-endian, fixed widths):
+A snapshot holds only what a filter cannot derive: the user inputs and
+the derived parameters (checked by ``FilterParams.validate``), the
+seed, the stream position, the rebuild count, and the dictionary's
+placement seed, walk state, scan cursor and cells. Field order (all
+integers little-endian, fixed widths):
 
     magic              b"SBFSNAP1"
-    version            u16   (currently 2)
+    version            u16   (currently 3)
     mode               u8    (0 deamortized, 1 amortized)
     flags              u8    (bit0: slack m is infinite)
     n                  u64
@@ -15,32 +19,33 @@ Field order (all integers little-endian, fixed widths):
     fp_range           u128
     gen_modulus        u64
     tag_bits           u8
-    hash_p, hash_a     u128 each
-    gen_pos, gen_label, steps, boundaries, rebuilds   u64 each
-    scan_width         u64
+    steps              u64   (elements inserted so far)
+    rebuilds           u64
     dictionary         the rest up to the trailer: ``Dictionary.to_bytes``
-                       (capacity_cells u64, element_capacity u64,
-                        bucket_size u8, placement_seed u64,
-                        walk_state u64, cursor u64, occupancy u64,
-                        tag_range u64, key_width u8, tag_width u8,
+                       (placement_seed u64, walk_state u64, cursor u64,
                         then capacity_cells keys of key_width bytes and
                         capacity_cells tags of tag_width bytes)
     crc32              u32   (zlib.crc32 of every byte before it)
 
-A key is 2q + side - 1, q being the in-bucket quotient of the
-fingerprint; together with the cell's position it reconstructs the
-fingerprint exactly, so a round trip is bit-exact and the reloaded
-filter continues the stream identically (instrumentation counters start
-fresh). An all-ones key marks an empty cell, whose tag is 0.
+Loading builds the filter through its constructor, which derives the
+hash, the scan width and the dictionary's geometry and cell widths, then
+resumes it at ``steps`` (generation position, boundary count and label
+follow) with the stored dictionary state (occupancy and per-tag counts
+follow from the cells). A key is 2q + side - 1, q being the in-bucket
+quotient of the fingerprint; together with the cell's position it
+reconstructs the fingerprint exactly, so a round trip is bit-exact and
+the reloaded filter continues the stream identically (instrumentation
+counters start fresh). An all-ones key marks an empty cell, whose tag
+is 0.
 
-Loading checks the trailer, then every field: the derived parameters
-must validate and agree with the stored ones, the hash must be the one
-the seed draws, the generation position and label, the scan cursor,
-the tags and the quotients must lie in range, and the counters must
-agree with each other and with the cells. A blob that fails any check
-raises SnapshotError. Version 1 snapshots are refused: their cells
-were placed by an earlier placement function and would decode to other
-fingerprints.
+Loading checks the magic, the version, the length and the trailer,
+then every stored field: mode and flags in range, m = 0 when the slack
+is infinite, the parameters valid, the dictionary section exactly as
+long as the parameters make it, and the scan cursor, the tags and the
+quotients in range, with a zero tag in every empty cell. A blob that
+fails any check raises SnapshotError. Versions 1 and 2 are refused:
+version 1 cells were placed by an earlier placement function, and
+version 2 stored derived fields in other places.
 """
 
 from __future__ import annotations
@@ -49,14 +54,11 @@ import io
 import struct
 import zlib
 
-from .dictionary import Dictionary
-from .filter import MIN_DICT_ELEMENTS, SlidingFilter
-from .hashing import new_hash
+from .filter import SlidingFilter
 from .params import INFINITE, FilterParams, InvalidParams
-from .prng import derive_seed
 
 MAGIC = b"SBFSNAP1"
-VERSION = 2
+VERSION = 3
 _U128_MAX = (1 << 128) - 1
 _CRC = struct.Struct("<I")
 
@@ -90,7 +92,7 @@ class _Reader:
 
 def _encode(f: SlidingFilter) -> bytes:
     p = f.params
-    if p.u > _U128_MAX or p.fp_range > _U128_MAX or f.hash.p > _U128_MAX:
+    if p.u > _U128_MAX or p.fp_range > _U128_MAX:
         raise SnapshotError("parameters exceed the 128-bit snapshot field width")
 
     out = io.BytesIO()
@@ -110,14 +112,8 @@ def _encode(f: SlidingFilter) -> bytes:
     out.write(_u(p.fp_range, 16))
     out.write(_u(p.gen_modulus, 8))
     out.write(_u(p.tag_bits, 1))
-    out.write(_u(f.hash.p, 16))
-    out.write(_u(f.hash.a, 16))
-    out.write(_u(f.gen_pos, 8))
-    out.write(_u(f.gen_label, 8))
     out.write(_u(f.steps, 8))
-    out.write(_u(f.boundaries, 8))
     out.write(_u(f.rebuilds, 8))
-    out.write(_u(f._scan_width, 8))
     out.write(f.dictionary.to_bytes())
     out.write(_CRC.pack(zlib.crc32(out.getbuffer())))
     return out.getvalue()
@@ -156,54 +152,28 @@ def _decode(data: bytes) -> SlidingFilter:
     if flags and m_raw:
         raise SnapshotError(f"slack {m_raw} stored for an infinite-slack filter")
 
+    steps = r.take(8)
+    rebuilds = r.take(8)
+    cells = r.rest()
+
     params = FilterParams(
         n=n, m=INFINITE if flags else m_raw, epsilon=epsilon, u=u,
         c=c, g=g, n_prime=n_prime, fp_range=fp_range,
         gen_modulus=gen_modulus, tag_bits=tag_bits,
     )
+    # every element the dictionary is sized for needs a cell of at least
+    # two bytes; checked before the constructor allocates the cells
+    if len(cells) < 2 * params.dict_capacity:
+        raise SnapshotError(f"dictionary section of {len(cells)} bytes is too short "
+                            f"for element capacity {params.dict_capacity}")
     try:
-        params.validate()
+        f = SlidingFilter(params, seed, mode=mode)
     except InvalidParams as exc:
         raise SnapshotError(f"snapshot parameters invalid: {exc}") from None
-
-    hash_p = r.take(16)
-    hash_a = r.take(16)
-    gen_pos = r.take(8)
-    gen_label = r.take(8)
-    steps = r.take(8)
-    boundaries = r.take(8)
-    rebuilds = r.take(8)
-    scan_width = r.take(8)
-
-    # the hash and the labels are drawn or cycled exactly as a filter of
-    # these parameters would, so anything else is damage
-    expected = new_hash(u, fp_range, derive_seed(seed, "fingerprint"))
-    if (hash_p, hash_a) != (expected.p, expected.a):
-        raise SnapshotError("snapshot hash parameters disagree with its seed")
-    label_modulus = c + 2 if mode == "amortized" else gen_modulus
-    if gen_pos >= g:
-        raise SnapshotError(f"gen_pos {gen_pos} outside [0, {g})")
-    if gen_label >= label_modulus:
-        raise SnapshotError(f"gen_label {gen_label} outside [0, {label_modulus})")
-    if steps != boundaries * g + gen_pos or gen_label != boundaries % label_modulus:
-        raise SnapshotError("stream counters disagree with the generation position")
-
     try:
-        d = Dictionary.from_bytes(
-            r.rest(),
-            element_capacity=max(params.dict_capacity, MIN_DICT_ELEMENTS),
-            fp_range=fp_range, tag_bits=tag_bits, tag_range=label_modulus,
-        )
+        f.restore(steps, rebuilds, cells)
     except ValueError as exc:
         raise SnapshotError(f"snapshot cells invalid: {exc}") from None
-
-    f = SlidingFilter(params, seed, mode=mode, dictionary=d)
-    if scan_width != f._scan_width:
-        raise SnapshotError("snapshot scan width disagrees with derived parameters")
-    f._set_generation(gen_pos, gen_label)
-    f.steps = steps
-    f.boundaries = boundaries
-    f.rebuilds = rebuilds
     return f
 
 

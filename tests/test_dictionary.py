@@ -36,9 +36,10 @@ def test_insert_member_update_delete():
     assert d.occupancy() == 1
     assert d.member(42, never_stale) == 7
 
-    assert d.delete(42) is True
+    # the only way a cell is freed: its tag goes stale and a scan passes
+    assert d.scan_step(d.capacity_cells, lambda t: t == 7) == 1
     assert d.member(42, never_stale) is None
-    assert d.delete(42) is False
+    assert d.scan_step(d.capacity_cells, lambda t: t == 7) == 0
     assert d.occupancy() == 0
     d.check_consistency()
 
@@ -128,8 +129,8 @@ def test_bounded_work_member_delete_insert():
         assert d.last_op_cells <= 2 * BUCKET_SIZE + d.last_op_kicks * BUCKET_SIZE
     d.member(12345, never_stale)
     assert d.last_op_cells <= 2 * BUCKET_SIZE
-    d.delete(12345)
-    assert d.last_op_cells <= 2 * BUCKET_SIZE
+    d.scan_step(2, lambda t: t == 1)
+    assert d.last_op_cells == 2
 
 
 def test_stale_cells_never_block_insert():
@@ -163,21 +164,10 @@ def test_insert_overflow_surfaces():
             d.insert_or_update(rng.below(10**9), 1, never_stale)
 
 
-def test_bits_used_full_accounting_reference():
-    d = Dictionary(element_capacity=14, fp_range=32, tag_bits=3, seed=0,
-                   full_fp_accounting=True)
-    assert d.capacity_cells == 16
-    rep = d.bits_used()
-    assert rep.accounting == "full"
-    assert rep.cell_bits == 1 + 5 + 3
-    assert rep.cells_total_bits == 16 * 9  # 144
-    assert rep.total_bits == rep.cells_total_bits + rep.overhead_bits
-
-
 def test_bits_used_quotient_accounting():
     d = Dictionary(element_capacity=14, fp_range=32, tag_bits=3, seed=0)
     rep = d.bits_used()
-    assert rep.accounting == "quotient"
+    assert rep.total_bits == rep.cells_total_bits + rep.overhead_bits
     q_bits = ((32 - 1) // d.num_buckets).bit_length()
     assert rep.cell_bits == 1 + q_bits + 1 + 3
     assert rep.cell_bits < 1 + 5 + 3  # strictly smaller than full fingerprints
@@ -210,6 +200,7 @@ def test_quotient_decode_roundtrip():
 @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 999), st.integers(0, 7)),
                 min_size=1, max_size=120))
 def test_random_op_sequences_keep_invariants(ops):
+    # op 1 expires one tag: a full scan frees exactly the cells carrying it
     d = Dictionary(element_capacity=64, fp_range=1000, tag_bits=3, seed=1)
     live = {}
     for op, fp, tag in ops:
@@ -218,8 +209,10 @@ def test_random_op_sequences_keep_invariants(ops):
                 d.insert_or_update(fp, tag, never_stale)
                 live[fp] = tag
         elif op == 1:
-            assert d.delete(fp) == (fp in live)
-            live.pop(fp, None)
+            expired = [f for f, t in live.items() if t == tag]
+            assert d.scan_step(d.capacity_cells, lambda t: t == tag) == len(expired)
+            for f in expired:
+                del live[f]
         else:
             got = d.member(fp, never_stale)
             assert got == live.get(fp)
@@ -294,13 +287,10 @@ def test_wide_quotients_use_exact_keys():
     assert isinstance(d._keys, list)
     assert {fp for _i, fp, _t in d.entries()} == fps
     assert all(d.member(fp, never_stale) is not None for fp in fps)
-    assert d.delete(min(fps)) and d.member(min(fps), never_stale) is None
+    d.scan_step(d.capacity_cells, lambda t: t == 0)
+    expired = set(sorted(fps)[::20])
+    assert all((d.member(fp, never_stale) is None) == (fp in expired) for fp in fps)
     d.check_consistency()
-
-
-def codec_args(d):
-    return dict(element_capacity=d.element_capacity, fp_range=d.fp_range,
-                tag_bits=d.tag_bits, tag_range=d.tag_range)
 
 
 def filled(fp_range=10**7, seed=5):
@@ -314,24 +304,29 @@ def filled(fp_range=10**7, seed=5):
 
 @pytest.mark.parametrize("fp_range", [10**3, 10**7, 10**12, 2**80])
 def test_codec_roundtrip(fp_range):
+    # restored into a dictionary built from other seeds: the stored
+    # placement seed and walk state win
     d = filled(fp_range)
     blob = d.to_bytes()
-    e = Dictionary.from_bytes(blob, **codec_args(d))
+    e = make(cap=300, fp_range=fp_range, tag_bits=5, seed=99)
+    e.restore(blob)
     assert e.to_bytes() == blob
     assert list(e.entries()) == list(d.entries())
     assert e._cursor == d._cursor and e._walk.state == d._walk.state
+    assert e.occupancy() == d.occupancy()
+    assert [e.tag_count(t) for t in range(e.tag_range)] == \
+        [d.tag_count(t) for t in range(d.tag_range)]
     e.check_consistency()
 
 
 def _cell_planes(d):
-    header = 8 + 8 + 1 + 8 * 5 + 2
+    header = 3 * 8
     return header, header + d.capacity_cells * d._key_width
 
 
 def test_codec_range_checks():
     d = filled()
     blob = d.to_bytes()
-    args = codec_args(d)
     keys_at, tags_at = _cell_planes(d)
     occupied = next(i for i, _fp, _t in d.entries())
     free = next(i for i in range(d.capacity_cells) if d._keys[i] == d._empty)
@@ -343,19 +338,19 @@ def test_codec_range_checks():
         return bytes(b)
 
     bad = {
-        "cursor": patched(33, d.capacity_cells, 8),
-        "occupancy": patched(41, d.occupancy() + 1, 8),
+        "cursor": patched(16, d.capacity_cells, 8),
         "tag": patched(tags_at + occupied * tw, d.tag_range, tw),
         "quotient": patched(keys_at + occupied * kw, 2 * (d._q_max + 1), kw),
         "empty tag": patched(tags_at + free * tw, 1, tw),
-        "bucket size": patched(16, 8, 1),
-        "key width": patched(57, kw + 1, 1),
     }
+    target = make(cap=300, fp_range=10**7, tag_bits=5, seed=5)
+    before = target.to_bytes()
     for what, data in bad.items():
-        with pytest.raises(ValueError):
-            Dictionary.from_bytes(data, **args)
+        with pytest.raises(ValueError, match=what.split()[-1]):
+            target.restore(data)
     for cut in (0, 10, keys_at, len(blob) - 1):
         with pytest.raises(ValueError):
-            Dictionary.from_bytes(blob[:cut], **args)
-    with pytest.raises(ValueError):
-        Dictionary.from_bytes(blob, **(args | {"element_capacity": d.element_capacity + 1}))
+            target.restore(blob[:cut])
+    with pytest.raises(ValueError):  # another geometry: the planes have another length
+        make(cap=400, fp_range=10**7, tag_bits=5, seed=5).restore(blob)
+    assert target.to_bytes() == before  # a refused restore changes nothing

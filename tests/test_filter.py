@@ -8,9 +8,11 @@ import pytest
 
 from slidingbloom import (
     INFINITE,
+    InsertOverflow,
     InvalidParams,
     LabelReuseViolation,
     SlidingFilter,
+    UnrecoverableOverflow,
     WindowOracle,
     derive,
     dictionary,
@@ -261,6 +263,21 @@ def test_overflow_recovery_keeps_every_window_element(monkeypatch):
         f.dictionary.check_consistency()
         rebuilds += f.rebuilds
     assert rebuilds >= 6
+
+
+def test_unrecoverable_overflow_refuses_further_use(monkeypatch):
+    # a budget of 20 kicks also sinks the reseeded rebuilds: the element
+    # the last walk carried is lost, so the filter must not keep serving
+    monkeypatch.setattr(dictionary, "MAX_KICKS", 20)
+    f = SlidingFilter.create(2000, 2000, 2**-8, seed=0)
+    with pytest.raises(UnrecoverableOverflow) as info:
+        for t in range(20_000):
+            f.insert(t * 1000003 + 7)
+    assert t == 2191 and isinstance(info.value, InsertOverflow)
+    for use in (lambda: f.insert(t * 1000003 + 7), lambda: f.query(7),
+                lambda: f.save(io.BytesIO())):
+        with pytest.raises(UnrecoverableOverflow):
+            use()
 
 
 @pytest.mark.parametrize("bad", [True, False, 1.5, 2.0, "7", None, 10**20 + 0.5])

@@ -1,10 +1,20 @@
 import io
+import json
 import zlib
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from slidingbloom import INFINITE, SlidingFilter, SnapshotError, load_filter, save_filter
+import slidingbloom.filter as filter_module
+from slidingbloom import (
+    INFINITE,
+    SlidingFilter,
+    SnapshotError,
+    dictionary,
+    load_filter,
+    save_filter,
+)
 from slidingbloom.prng import SplitMix64
 
 from stream_patterns import random_pool
@@ -26,7 +36,12 @@ def test_roundtrip_bit_exact(m, mode):
     g = load_filter(blob)
     assert roundtrip(g) == blob
     assert g.mode == mode and g.params == f.params
-    assert g.gen_pos == f.gen_pos and g.gen_label == f.gen_label
+    assert (g.gen_pos, g.gen_label, g.boundaries) == (f.gen_pos, f.gen_label, f.boundaries)
+    for x in random_pool(500, 300, seed=2):
+        f.insert(x)
+        g.insert(x)
+        assert f.query(x + 1) == g.query(x + 1)
+    assert roundtrip(g) == roundtrip(f)
 
 
 def test_behavior_preserved_after_reload():
@@ -88,17 +103,23 @@ def test_rng_state_travels():
     assert roundtrip(f) == roundtrip(g)
 
 
-# byte offsets of the v2 layout (see the snapshot module docstring)
-GEN_POS, GEN_LABEL, STEPS, BOUNDARIES = 141, 149, 157, 165
-DICT = 189
-CURSOR, OCCUPANCY, KEY_WIDTH, TAG_WIDTH, KEYS = DICT + 33, DICT + 41, DICT + 57, DICT + 58, DICT + 59
+# byte offsets of the v3 layout (see the snapshot module docstring)
+MODE, FLAGS, C = 10, 11, 60
+STEPS = 109
+DICT = 125
+CURSOR, KEYS = DICT + 16, DICT + 24
+
+
+def reseal(body):
+    """body followed by its valid checksum."""
+    return bytes(body) + zlib.crc32(body).to_bytes(4, "little")
 
 
 def resealed(blob, offset, value, width):
     """blob with one field overwritten and a valid checksum again."""
     body = bytearray(blob[:-4])
     body[offset:offset + width] = value.to_bytes(width, "little")
-    return bytes(body) + zlib.crc32(body).to_bytes(4, "little")
+    return reseal(body)
 
 
 def busy_filter():
@@ -111,7 +132,7 @@ def busy_filter():
 def test_resealed_blob_still_loads():
     f = busy_filter()
     blob = roundtrip(f)
-    same = resealed(blob, GEN_POS, f.gen_pos, 8)
+    same = resealed(blob, STEPS, f.steps, 8)
     assert same == blob
     assert roundtrip(load_filter(same)) == blob
 
@@ -124,6 +145,14 @@ def test_version_1_refused():
         load_filter(bytes(v1))
 
 
+def test_version_2_refused():
+    f = busy_filter()
+    v2 = bytearray(roundtrip(f))
+    v2[8:10] = (2).to_bytes(2, "little")
+    with pytest.raises(SnapshotError, match="version 2"):
+        load_filter(bytes(v2))
+
+
 def test_single_bit_flips_fail_the_checksum():
     blob = roundtrip(busy_filter())
     for bit in range(10 * 8, len(blob) * 8, 97):
@@ -133,20 +162,35 @@ def test_single_bit_flips_fail_the_checksum():
             load_filter(bytes(flipped))
 
 
-def test_generation_fields_range_checked():
+def test_generation_derived_from_steps():
+    # v3 stores the stream position only; any value of it loads at the
+    # generation it implies (v2 stored gen_pos and gen_label as well and
+    # refused blobs where they disagreed with the counters)
     f = busy_filter()
     blob = roundtrip(f)
     g, modulus = f.params.g, f.gen_modulus
-    # once loaded and only failing on the first insert (label) or never
-    # advancing its generation again (position)
-    for offset, value in [(GEN_POS, g), (GEN_POS, g + 5), (GEN_LABEL, modulus),
-                          (GEN_LABEL, 2**40)]:
-        with pytest.raises(SnapshotError, match="outside"):
-            load_filter(resealed(blob, offset, value, 8))
-    with pytest.raises(SnapshotError, match="counters"):
-        load_filter(resealed(blob, STEPS, f.steps + 1, 8))
-    with pytest.raises(SnapshotError, match="counters"):
-        load_filter(resealed(blob, GEN_LABEL, (f.gen_label + 1) % modulus, 8))
+    for steps in (0, f.steps + 1, g * modulus * 7 + 3, 2**64 - 1):
+        h = load_filter(resealed(blob, STEPS, steps, 8))
+        assert h.steps == steps
+        assert (h.boundaries, h.gen_pos) == divmod(steps, g)
+        assert h.gen_label == steps // g % modulus
+        for x in range(2 * g):
+            h.insert(x)
+        assert all(h.query(x) for x in range(2 * g))
+
+
+def test_header_fields_range_checked():
+    blob = roundtrip(busy_filter())
+    with pytest.raises(SnapshotError, match="mode"):
+        load_filter(resealed(blob, MODE, 2, 1))
+    with pytest.raises(SnapshotError, match="flags"):
+        load_filter(resealed(blob, FLAGS, 2, 1))
+    with pytest.raises(SnapshotError, match="infinite-slack"):
+        load_filter(resealed(blob, FLAGS, 1, 1))  # m = 20 stays stored
+    with pytest.raises(SnapshotError, match="parameters invalid"):
+        load_filter(resealed(blob, C, 7, 8))  # c = 6 with g = 14: c no longer fits
+    with pytest.raises(SnapshotError, match="too short"):
+        load_filter(reseal(blob[:DICT + 24]))  # no cells: the constructor never runs
 
 
 def test_cell_fields_range_checked():
@@ -156,16 +200,72 @@ def test_cell_fields_range_checked():
     kw, tw = d._key_width, d._tag_width
     tags = KEYS + d.capacity_cells * kw
     occupied = next(i for i, _fp, _t in d.entries())
+    free = next(i for i in range(d.capacity_cells) if d._keys[i] == d._empty)
     with pytest.raises(SnapshotError, match="cursor"):
         load_filter(resealed(blob, CURSOR, d.capacity_cells, 8))
     with pytest.raises(SnapshotError, match="tag"):
         load_filter(resealed(blob, tags + occupied * tw, f.gen_modulus, tw))
     with pytest.raises(SnapshotError, match="quotient"):
         load_filter(resealed(blob, KEYS + occupied * kw, 2 << d.quotient_bits, kw))
-    with pytest.raises(SnapshotError, match="occupancy"):
-        load_filter(resealed(blob, OCCUPANCY, d.occupancy() - 1, 8))
-    with pytest.raises(SnapshotError):
-        load_filter(resealed(blob, KEY_WIDTH, kw + 1, 1))
+    with pytest.raises(SnapshotError, match="nonzero tag in an empty cell"):
+        load_filter(resealed(blob, tags + free * tw, 1, tw))
+    body = blob[:-4]
+    for section in (body[:-1], body + b"\0"):
+        with pytest.raises(SnapshotError, match="section"):
+            load_filter(reseal(section))
+
+
+def test_rebuilt_filter_roundtrip(monkeypatch):
+    # a rebuild reseeds the placement: the stored placement seed, not the
+    # one the filter seed draws, must place the restored cells
+    monkeypatch.setattr(dictionary, "MAX_KICKS", 30)
+    f = SlidingFilter.create(2000, 2000, 2**-8, seed=0)
+    rng = SplitMix64(100)
+    while f.rebuilds == 0:
+        f.insert(rng.below(2**63))
+    blob = roundtrip(f)
+    g = load_filter(blob)
+    assert g.rebuilds == f.rebuilds and roundtrip(g) == blob
+    g.dictionary.check_consistency()
+    for _ in range(3000):
+        x = rng.below(2**63)
+        f.insert(x)
+        g.insert(x)
+        assert f.query(x ^ 1) == g.query(x ^ 1)
+    assert roundtrip(g) == roundtrip(f)
+
+
+def test_load_derives_hash_and_tables_once(monkeypatch):
+    blob = roundtrip(busy_filter())
+    calls = {"hash": 0, "tables": 0}
+
+    def counted(key, real):
+        def call(*args):
+            calls[key] += 1
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(filter_module, "new_hash", counted("hash", filter_module.new_hash))
+    monkeypatch.setattr(dictionary, "_tabulation", counted("tables", dictionary._tabulation))
+    assert roundtrip(load_filter(blob)) == blob
+    assert calls == {"hash": 1, "tables": 1}
+
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name", ["plain", "rebuilt"])
+def test_golden_v3_blobs(name):
+    # committed v3 snapshots (recipes in snapshot_v3.json): a change to
+    # derive, the tabulation tables or the seed labels that would
+    # reinterpret saved filters changes these answers or these bytes
+    meta = json.loads((GOLDEN / "snapshot_v3.json").read_text())[name]
+    blob = (GOLDEN / meta["file"]).read_bytes()
+    f = load_filter(blob)
+    assert (f.steps, f.rebuilds) == (meta["steps"], meta["rebuilds"])
+    assert "".join("1" if f.query(x) else "0" for x in meta["probes"]) == meta["answers"]
+    f.dictionary.check_consistency()
+    assert roundtrip(f) == blob
 
 
 def answers(f, probes):
