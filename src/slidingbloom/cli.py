@@ -12,8 +12,10 @@ insert overflow, 4 statistically underpowered fpr run.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
+from array import array
 
 from .dictionary import InsertOverflow
 from .filter import DEFAULT_UNIVERSE, SlidingFilter
@@ -51,15 +53,33 @@ def _tokens_text(stream):
 
 
 def _tokens_binary(stream):
+    """(word, word) for each little-endian 64-bit word of a binary stream.
+
+    Reads through one reused buffer of io.DEFAULT_BUFFER_SIZE bytes. A
+    partial word at the end raises ValueError once every whole word
+    before it has been yielded.
+    """
+    words = array("Q", bytes(io.DEFAULT_BUFFER_SIZE))
+    raw = memoryview(words).cast("B")
     idx = 0
     while True:
-        word = stream.read(8)
-        if not word:
+        got = 0
+        while got < len(raw):
+            n = stream.readinto(raw[got:])
+            if not n:
+                break
+            got += n
+        whole = got // 8
+        chunk = words if whole == len(words) else words[:whole]
+        if sys.byteorder == "big":
+            chunk.byteswap()
+        for word in chunk:
+            yield word, word
+        idx += whole
+        if got < len(raw):
+            if got % 8:
+                raise ValueError(f"trailing {got % 8} bytes at word {idx}")
             return
-        if len(word) != 8:
-            raise ValueError(f"trailing {len(word)} bytes at word {idx}")
-        yield str(int.from_bytes(word, "little")), int.from_bytes(word, "little")
-        idx += 1
 
 
 def _emit_json(obj, out):

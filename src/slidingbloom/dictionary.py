@@ -41,13 +41,17 @@ a second typed array. An empty cell's tag is 0. ``to_bytes`` and
 arguments (placement seed, walk state, scan cursor and the cells) in
 bulk, range-checking it on the way in.
 
-Staleness is the caller's notion: operations that may mutate take a
-``stale(tag) -> bool`` predicate. An insert reclaims the stale cells of
-a bucket only when it needs room there, i.e. when a candidate bucket or
-a kick target has no empty cell, so logically-dead cells never block an
-insert; everything else is left to the scanner (``scan_step``).
-``member`` is read-only: it filters stale hits out of its answer but
-leaves them in place.
+Staleness is the caller's notion: every operation takes ``stale``, the
+set of tags that are stale now (a ``set`` or ``frozenset`` of ints; the
+caller keeps it up to date and may change it between calls). An insert
+reclaims the stale cells of a bucket only when it needs room there,
+i.e. when a candidate bucket or a kick target has no empty cell, so
+logically-dead cells never block an insert; everything else is left to
+the scanner (``scan_step``). Before the reclaim loop runs on such a
+full bucket, one membership test per cell, which allocates nothing,
+decides whether any of its tags is stale, and the loop runs only when
+one is. ``member`` is read-only: it filters stale hits out of its
+answer but leaves them in place.
 
 Geometry and policy: BUCKET_SIZE = 4, two bucket choices, random-walk
 eviction capped at MAX_KICKS = 500, cell count sized for a 0.9 load
@@ -66,6 +70,7 @@ import numpy as np
 
 from .prng import SplitMix64, derive_seed, splitmix64, splitmix64_block
 
+# the stale pre-checks in insert_or_update are unrolled for 4 cells
 BUCKET_SIZE = 4
 MAX_KICKS = 500
 # load target 0.9, kept as a ratio of integers so capacity math is exact
@@ -96,8 +101,8 @@ class InsertOverflow(RuntimeError):
         self.tag = tag
 
 
-def never_stale(_tag: int) -> bool:
-    return False
+# the stale set of a caller to whom no tag is ever stale
+never_stale = frozenset()
 
 
 def _capacity_cells(element_capacity: int) -> int:
@@ -269,22 +274,23 @@ class Dictionary:
         if key in cells:
             self.last_op_cells = BUCKET_SIZE
             t = self._tags[base + cells.index(key)]
-            return None if stale(t) else t
+            return None if t in stale else t
         key += 1
         base = (self._mult2 * r + h // nb) % nb * BUCKET_SIZE
         cells = keys[base:base + BUCKET_SIZE]
         self.last_op_cells = 2 * BUCKET_SIZE
         if key in cells:
             t = self._tags[base + cells.index(key)]
-            return None if stale(t) else t
+            return None if t in stale else t
         return None
 
     def insert_or_update(self, fp: int, tag: int, stale) -> None:
         """Set fp's tag, inserting if needed.
 
-        Stale cells of a bucket are reclaimed only when the bucket has
-        no empty cell. Raises InsertOverflow, carrying the element left
-        without a cell, if the random walk exceeds MAX_KICKS.
+        Stale cells of a bucket (those whose tag is in ``stale``) are
+        reclaimed only when the bucket has no empty cell. Raises
+        InsertOverflow, carrying the element left without a cell, if the
+        random walk exceeds MAX_KICKS.
         """
         nb = self.num_buckets
         q, r = divmod(fp, nb)
@@ -321,9 +327,14 @@ class Dictionary:
             i, key = base1 + cells1.index(empty), key1
         elif empty in cells2:
             i, key = base2 + cells2.index(empty), key2
-        elif self._reclaim(base1, base1 + BUCKET_SIZE, stale):
+        # both buckets are full, so a stale tag marks a cell to reclaim
+        elif (tags[base1] in stale or tags[base1 + 1] in stale
+              or tags[base1 + 2] in stale or tags[base1 + 3] in stale):
+            self._reclaim(base1, base1 + BUCKET_SIZE, stale)
             i, key = keys.index(empty, base1, base1 + BUCKET_SIZE), key1
-        elif self._reclaim(base2, base2 + BUCKET_SIZE, stale):
+        elif (tags[base2] in stale or tags[base2 + 1] in stale
+              or tags[base2 + 2] in stale or tags[base2 + 3] in stale):
+            self._reclaim(base2, base2 + BUCKET_SIZE, stale)
             i, key = keys.index(empty, base2, base2 + BUCKET_SIZE), key2
         if i >= 0:
             keys[i] = key
@@ -335,7 +346,9 @@ class Dictionary:
         # both candidate buckets full of live cells: random-walk eviction;
         # the carried element enters a bucket on a known side and swaps
         # with a random victim, which then walks to its other side. One
-        # 64-bit draw picks the side (bit 0) and 31 victims (two bits each)
+        # 64-bit draw picks the side (bit 0) and 31 victims (two bits each).
+        # A kick only moves tags between cells, so the per-tag counts
+        # change once, when the walk ends
         next64 = self._walk.next64
         mult1, mult2, inv1, inv2 = self._mult1, self._mult2, self._inv1, self._inv2
         mix = self._mix
@@ -355,8 +368,6 @@ class Dictionary:
             v_tag = tags[victim]
             keys[victim] = cur_key
             tags[victim] = cur_tag
-            counts[v_tag] -= 1
-            counts[cur_tag] += 1
 
             h = mix(v_key >> 1)
             if v_key & 1:
@@ -373,13 +384,15 @@ class Dictionary:
             cells = keys[base:base + BUCKET_SIZE]
             if empty in cells:
                 i = base + cells.index(empty)
-            elif self._reclaim(base, base + BUCKET_SIZE, stale):
+            elif (tags[base] in stale or tags[base + 1] in stale
+                  or tags[base + 2] in stale or tags[base + 3] in stale):
+                self._reclaim(base, base + BUCKET_SIZE, stale)
                 i = keys.index(empty, base, base + BUCKET_SIZE)
             else:
                 continue
             keys[i] = cur_key
             tags[i] = cur_tag
-            counts[cur_tag] += 1
+            counts[tag] += 1
             self._occupancy += 1
             self.last_op_cells = touched
             self.last_op_kicks = kick
@@ -387,6 +400,9 @@ class Dictionary:
                 self.max_kick_chain = kick
             return
 
+        # the new tag entered a cell and the carried element's tag left one
+        counts[tag] += 1
+        counts[cur_tag] -= 1
         self.last_op_cells = touched
         self.last_op_kicks = MAX_KICKS
         self.max_kick_chain = max(self.max_kick_chain, MAX_KICKS)
@@ -397,12 +413,13 @@ class Dictionary:
         )
 
     def _reclaim(self, start: int, stop: int, stale) -> int:
-        """Free every stale occupied cell in [start, stop); returns how many."""
+        """Free every occupied cell in [start, stop) whose tag is in
+        ``stale``; returns how many."""
         tags = self._tags
         freed = 0
         for i in range(start, stop):
             t = tags[i]
-            if stale(t) and self._keys[i] != self._empty:
+            if t in stale and self._keys[i] != self._empty:
                 self._keys[i] = self._empty
                 tags[i] = 0
                 self._tag_counts[t] -= 1
@@ -411,7 +428,8 @@ class Dictionary:
         return freed
 
     def scan_step(self, k: int, stale) -> int:
-        """Advance the scan cursor over k cells, freeing stale occupants.
+        """Advance the scan cursor over k cells, freeing every occupied
+        cell whose tag is in ``stale``.
 
         Returns the number of cells freed. Any ceil(capacity_cells/k)
         consecutive calls visit every cell at least once; k = 0 visits

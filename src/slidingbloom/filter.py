@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from .dictionary import Dictionary, InsertOverflow, never_stale
 from .hashing import UniversalHash, new_hash
 from .params import FilterParams, derive
-from .prng import derive_seed
+from .prng import MASK64, derive_seed
 
 DEFAULT_UNIVERSE = 1 << 64
 
@@ -119,15 +119,16 @@ class SlidingFilter:
         ``params`` must pass ``FilterParams.validate`` (``create`` derives
         them from n, m, epsilon and u). The fingerprint hash, the
         dictionary's placement and its cuckoo walk all derive from
-        ``seed``. ``mode`` is "deamortized" (the default) or "amortized";
-        see the module docstring. ``debug`` turns on the label-reuse and
-        active-count checks at generation boundaries.
+        ``seed``, which is taken modulo 2**64. ``mode`` is "deamortized"
+        (the default) or "amortized"; see the module docstring. ``debug``
+        turns on the label-reuse and active-count checks at generation
+        boundaries.
         """
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         params.validate()
         self.params = params
-        self.seed = seed
+        self.seed = seed & MASK64
         self.mode = mode
         self.debug = debug
 
@@ -145,12 +146,8 @@ class SlidingFilter:
             # for degenerate tiny geometries
             span = (params.c + 2) * params.g
             self._scan_width = max(2, -(-self._dict.capacity_cells // span))
-            self._stale_flags = bytearray(self.gen_modulus)
-            self._stale = self._stale_flags.__getitem__
         else:
             self._scan_width = 0
-            self._stale_flags = None
-            self._stale = never_stale
         self._set_generation(0, 0)
 
         self._ins_n = 0
@@ -188,13 +185,16 @@ class SlidingFilter:
 
     def _set_generation(self, gen_pos: int, gen_label: int) -> None:
         """Set the position inside the generation, in [0, g), and the
-        current label, in [0, gen_modulus); refreshes the stale flags."""
+        current label, in [0, gen_modulus); recomputes the set of stale
+        labels, those more than c generations old (none in amortized
+        mode, whose purge keeps expired labels out of the dictionary)."""
         self.gen_pos = gen_pos
         self.gen_label = gen_label
-        if self._stale_flags is not None:
+        if self.mode == "amortized":
+            self._stale = never_stale
+        else:
             g_mod = self.gen_modulus
-            for t in range(g_mod):
-                self._stale_flags[t] = (gen_label - t) % g_mod > self.params.c
+            self._stale = {t for t in range(g_mod) if (gen_label - t) % g_mod > self.params.c}
 
     @classmethod
     def create(cls, n: int, m, epsilon: float, u: int = DEFAULT_UNIVERSE,
@@ -261,8 +261,8 @@ class SlidingFilter:
         UnrecoverableOverflow now and on every later use.
         """
         stale = self._stale
-        survivors = [(fp, tag) for _idx, fp, tag in self._dict.entries() if not stale(tag)]
-        if not stale(overflow.tag):
+        survivors = [(fp, tag) for _idx, fp, tag in self._dict.entries() if tag not in stale]
+        if overflow.tag not in stale:
             survivors.append((overflow.fp, overflow.tag))
         for _ in range(MAX_REBUILDS_PER_INSERT):
             self.rebuilds += 1
@@ -290,9 +290,9 @@ class SlidingFilter:
         self.boundaries += 1
         extra_cells = 0
         if self.mode == "deamortized":
-            flags = self._stale_flags
-            flags[label] = 0
-            flags[(label - self.params.c - 1) % g_mod] = 1
+            stale = self._stale
+            stale.discard(label)
+            stale.add((label - self.params.c - 1) % g_mod)
         if self.debug and self._dict.tag_count(label):
             raise LabelReuseViolation(
                 f"label {label} reused with {self._dict.tag_count(label)} cells still tagged"
@@ -301,7 +301,7 @@ class SlidingFilter:
             # purge one generation ahead of the counter: the cells that
             # fall out of the active window now, whose label is reused next
             target = (label + 1) % g_mod
-            self._dict.scan_step(self._dict.capacity_cells, lambda t: t == target)
+            self._dict.scan_step(self._dict.capacity_cells, {target})
             extra_cells = self._dict.capacity_cells
         if self.debug and self.boundaries % 97 == 1:
             active = self.active_count()
@@ -327,9 +327,7 @@ class SlidingFilter:
     # -- introspection ---------------------------------------------------------
 
     def is_active_tag(self, tag: int) -> bool:
-        if self.mode == "amortized":
-            return True
-        return (self.gen_label - tag) % self.gen_modulus <= self.params.c
+        return tag not in self._stale
 
     def active_count(self) -> int:
         """Stored fingerprints whose tag is currently active."""

@@ -59,6 +59,7 @@ from .params import INFINITE, FilterParams, InvalidParams
 
 MAGIC = b"SBFSNAP1"
 VERSION = 3
+_U64_MAX = (1 << 64) - 1
 _U128_MAX = (1 << 128) - 1
 _CRC = struct.Struct("<I")
 
@@ -94,6 +95,9 @@ def _encode(f: SlidingFilter) -> bytes:
     p = f.params
     if p.u > _U128_MAX or p.fp_range > _U128_MAX:
         raise SnapshotError("parameters exceed the 128-bit snapshot field width")
+    if f.steps > _U64_MAX or f.rebuilds > _U64_MAX:
+        raise SnapshotError(f"stream position {f.steps} or rebuild count {f.rebuilds} "
+                            f"exceeds the 64-bit snapshot field width")
 
     out = io.BytesIO()
     out.write(MAGIC)

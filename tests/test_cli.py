@@ -1,3 +1,4 @@
+import io
 import json
 import struct
 
@@ -56,6 +57,19 @@ def test_dedup_binary_rejects_ragged_input(capsys, tmp_path):
                        "--format", "binary", str(src))
     assert code == 2
     assert "trailing" in err
+
+
+def test_dedup_binary_partial_word_after_buffer_boundary(capsys, tmp_path):
+    # one whole read buffer of words, then 3 bytes in the next read
+    per_buffer = io.DEFAULT_BUFFER_SIZE // 8
+    words = [i * 0x9E3779B97F4A7C15 % 2**64 for i in range(per_buffer)]
+    src = tmp_path / "in.bin"
+    src.write_bytes(struct.pack(f"<{per_buffer}Q", *words) + b"\x01\x02\x03")
+    code, out, err = run(capsys, "dedup", "-n", "10", "-e", "0.01",
+                         "--format", "binary", str(src))
+    assert code == 2
+    assert f"error: trailing 3 bytes at word {per_buffer}" in err
+    assert [line.split("\t")[2] for line in out.splitlines()] == [str(w) for w in words]
 
 
 def test_dedup_deterministic_output(capsys, tmp_path):

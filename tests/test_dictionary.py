@@ -29,7 +29,7 @@ def test_insert_member_update_delete():
     d = make()
     d.insert_or_update(42, 3, never_stale)
     assert d.member(42, never_stale) == 3
-    assert d.member(42, lambda t: t == 3) is None  # stale masking, cell untouched
+    assert d.member(42, {3}) is None  # stale masking, cell untouched
     assert d.occupancy() == 1
 
     d.insert_or_update(42, 7, never_stale)
@@ -37,9 +37,9 @@ def test_insert_member_update_delete():
     assert d.member(42, never_stale) == 7
 
     # the only way a cell is freed: its tag goes stale and a scan passes
-    assert d.scan_step(d.capacity_cells, lambda t: t == 7) == 1
+    assert d.scan_step(d.capacity_cells, {7}) == 1
     assert d.member(42, never_stale) is None
-    assert d.scan_step(d.capacity_cells, lambda t: t == 7) == 0
+    assert d.scan_step(d.capacity_cells, {7}) == 0
     assert d.occupancy() == 0
     d.check_consistency()
 
@@ -47,7 +47,7 @@ def test_insert_member_update_delete():
 def test_member_is_read_only_on_stale_hits():
     d = make()
     d.insert_or_update(42, 3, never_stale)
-    assert d.member(42, lambda t: True) is None
+    assert d.member(42, set(range(d.tag_range))) is None
     assert d.occupancy() == 1  # still physically present
     assert d.member(42, never_stale) == 3
 
@@ -55,7 +55,7 @@ def test_member_is_read_only_on_stale_hits():
 def test_stale_on_update_sets_fresh_tag():
     d = make()
     d.insert_or_update(7, 2, never_stale)
-    d.insert_or_update(7, 5, lambda t: t == 2)  # old tag stale at update time
+    d.insert_or_update(7, 5, {2})  # old tag stale at update time
     assert d.member(7, never_stale) == 5
     assert d.occupancy() == 1
     d.check_consistency()
@@ -88,7 +88,7 @@ def test_scan_step_fresh_and_stale():
     d2.insert_or_update(123, 9, never_stale)
     total = 0
     for _ in range(-(-d2.capacity_cells // 2)):
-        total += d2.scan_step(2, lambda t: t == 9)
+        total += d2.scan_step(2, {9})
     assert total == 1
     assert d2.member(123, never_stale) is None
     assert d2.occupancy() == 0
@@ -106,7 +106,7 @@ def test_scan_full_pass_reclaims_every_stale_cell():
     expected = sum(1 for i in range(150) if i % 8 in stale_tags)
     freed = 0
     for _ in range(-(-d.capacity_cells // 2)):
-        freed += d.scan_step(2, lambda t: t in stale_tags)
+        freed += d.scan_step(2, stale_tags)
     assert freed == expected
     d.check_consistency()
 
@@ -129,7 +129,7 @@ def test_bounded_work_member_delete_insert():
         assert d.last_op_cells <= 2 * BUCKET_SIZE + d.last_op_kicks * BUCKET_SIZE
     d.member(12345, never_stale)
     assert d.last_op_cells <= 2 * BUCKET_SIZE
-    d.scan_step(2, lambda t: t == 1)
+    d.scan_step(2, {1})
     assert d.last_op_cells == 2
 
 
@@ -148,7 +148,7 @@ def test_stale_cells_never_block_insert():
         fp = rng.below(10**6)
         if fp != target and {b1, b2} & set(d.buckets_for(fp)):
             d.insert_or_update(fp, 3, never_stale)
-    d.insert_or_update(target, 1, lambda t: t == 3)
+    d.insert_or_update(target, 1, {3})
     assert d.last_op_kicks == 0
     assert d.last_op_cells == 2 * BUCKET_SIZE
     assert d.member(target, never_stale) == 1
@@ -210,7 +210,7 @@ def test_random_op_sequences_keep_invariants(ops):
                 live[fp] = tag
         elif op == 1:
             expired = [f for f, t in live.items() if t == tag]
-            assert d.scan_step(d.capacity_cells, lambda t: t == tag) == len(expired)
+            assert d.scan_step(d.capacity_cells, {tag}) == len(expired)
             for f in expired:
                 del live[f]
         else:
@@ -252,7 +252,7 @@ def test_placement_keeps_no_state_per_quotient_class():
     rng = SplitMix64(3)
     for i in range(5000):
         d.member(rng.below(2**40), never_stale)
-        d.insert_or_update(rng.below(2**40), i % 16, lambda t: t != i % 16)
+        d.insert_or_update(rng.below(2**40), i % 16, set(range(d.tag_range)) - {i % 16})
     assert {k: len(v) for k, v in vars(d).items() if hasattr(v, "__len__")} == sizes
 
 
@@ -271,6 +271,7 @@ def test_insert_overflow_carries_the_homeless_element(monkeypatch):
     stored[homeless.fp] = homeless.tag
     assert set(stored) == set(inserted)
     assert all(stored[fp] == (i + 1) % 7 for i, fp in enumerate(inserted))
+    d.check_consistency()  # per-tag counts after the overflow
 
 
 def wide_dictionary():
@@ -287,7 +288,7 @@ def test_wide_quotients_use_exact_keys():
     assert isinstance(d._keys, list)
     assert {fp for _i, fp, _t in d.entries()} == fps
     assert all(d.member(fp, never_stale) is not None for fp in fps)
-    d.scan_step(d.capacity_cells, lambda t: t == 0)
+    d.scan_step(d.capacity_cells, {0})
     expired = set(sorted(fps)[::20])
     assert all((d.member(fp, never_stale) is None) == (fp in expired) for fp in fps)
     d.check_consistency()
@@ -298,7 +299,7 @@ def filled(fp_range=10**7, seed=5):
     rng = SplitMix64(seed)
     for i in range(260):
         d.insert_or_update(rng.below(fp_range), i % 20, never_stale)
-    d.scan_step(37, lambda t: t == 3)
+    d.scan_step(37, {3})
     return d
 
 

@@ -16,6 +16,7 @@ from slidingbloom import (
     WindowOracle,
     derive,
     dictionary,
+    never_stale,
 )
 from slidingbloom.prng import SplitMix64
 
@@ -211,7 +212,7 @@ def test_label_reuse_hook_fires_when_sabotaged():
     # entitled to reclaim the planted stale cell first)
     f = SlidingFilter.create(20, 20, 0.25, seed=41, debug=True)
     doomed = (f.gen_label + 1) % f.gen_modulus
-    f.dictionary.insert_or_update(99, doomed, lambda t: False)
+    f.dictionary.insert_or_update(99, doomed, never_stale)
     with pytest.raises(LabelReuseViolation):
         f._advance_label()
 

@@ -179,6 +179,27 @@ def test_generation_derived_from_steps():
         assert all(h.query(x) for x in range(2 * g))
 
 
+def test_steps_beyond_u64_refused_on_save():
+    f = load_filter(resealed(roundtrip(busy_filter()), STEPS, 2**64 - 1, 8))
+    f.insert(1)
+    assert f.steps == 2**64
+    with pytest.raises(SnapshotError, match="64-bit"):
+        roundtrip(f)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_u64_taken_modulo(seed):
+    # the filter answers and saves exactly as the seed modulo 2**64
+    f = SlidingFilter.create(80, 20, 2**-6, seed=seed)
+    same = SlidingFilter.create(80, 20, 2**-6, seed=seed % 2**64)
+    for x in random_pool(700, 300, seed=5):
+        f.insert(x)
+        same.insert(x)
+    blob = roundtrip(f)
+    assert blob == roundtrip(same)
+    assert roundtrip(load_filter(blob)) == blob
+
+
 def test_header_fields_range_checked():
     blob = roundtrip(busy_filter())
     with pytest.raises(SnapshotError, match="mode"):
