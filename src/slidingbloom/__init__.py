@@ -27,7 +27,7 @@ from .harness import (
     space_report,
     stress_label_safety,
 )
-from .hashing import UniversalHash, collision_prob_check, is_prime, new_hash, next_prime
+from .hashing import UniversalHash, is_prime, new_hash, next_prime
 from .oracle import Region, WindowOracle
 from .params import (
     INFINITE,
@@ -64,7 +64,6 @@ __all__ = [
     "UnrecoverableOverflow",
     "WindowOracle",
     "census_false_positives",
-    "collision_prob_check",
     "derive",
     "is_prime",
     "load_filter",

@@ -101,7 +101,11 @@ def _run_dedup(args) -> int:
         source = sys.stdin.buffer if args.format == "binary" else sys.stdin
         close = False
     else:
-        source = open(args.input, "rb" if args.format == "binary" else "r")
+        try:
+            source = open(args.input, "rb" if args.format == "binary" else "r")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         close = True
     tokens = _tokens_binary(source) if args.format == "binary" else _tokens_text(source)
 

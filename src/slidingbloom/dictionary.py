@@ -431,25 +431,21 @@ class Dictionary:
         """Advance the scan cursor over k cells, freeing every occupied
         cell whose tag is in ``stale``.
 
-        Returns the number of cells freed. Any ceil(capacity_cells/k)
-        consecutive calls visit every cell at least once; k = 0 visits
-        none.
+        Returns the number of cells freed. k must lie in [1,
+        capacity_cells]; any ceil(capacity_cells/k) consecutive calls
+        visit every cell at least once.
         """
-        if k < 0:
-            raise ValueError("scan width must be >= 0")
         cap = self.capacity_cells
+        if not 1 <= k <= cap:
+            raise ValueError(f"scan width {k} outside [1, {cap}]")
         cur = self._cursor
         stop = cur + k
         if stop < cap:
             freed = self._reclaim(cur, stop, stale)
         else:
-            freed = self._reclaim(cur, cap, stale)
             stop -= cap
-            while stop > cap:  # k wider than the table: whole laps
-                freed += self._reclaim(0, cap, stale)
-                stop -= cap
-            freed += self._reclaim(0, stop, stale)
-        self._cursor = stop if stop < cap else 0
+            freed = self._reclaim(cur, cap, stale) + self._reclaim(0, stop, stale)
+        self._cursor = stop
         self.last_op_cells = k
         return freed
 

@@ -1,31 +1,22 @@
 """The sliding-window approximate membership filter.
 
 The stream is split into generations of g consecutive positions, each
-carrying one label from a counter that cycles modulo G. Elements are
-stored in the cuckoo dictionary as fingerprint -> latest generation
-label; an element is reported present exactly when its stored label is
-among the c+1 most recent ones. Physical reclamation of expired cells
-is decoupled from that logical expiry and differs by mode:
+carrying one label from a counter that cycles modulo G = 2c+3.
+Elements are stored in the cuckoo dictionary as fingerprint -> latest
+generation label; an element is reported present exactly when its
+stored label is among the c+1 most recent ones. Physical reclamation of
+expired cells is decoupled from that logical expiry: a label stays
+unused for c+2 generations after it expires. Every insert advances an
+incremental scanner over (normally) two cells, so the scanner laps the
+whole table within those (c+2)*g inserts and expired cells are
+physically gone before their label is handed out again, keeping
+per-operation work bounded. Inserts also reclaim the stale cells of a
+bucket they need room in, so expired cells never block an insert, but
+the label guarantee rests on the scanner alone.
 
-* deamortized (default): the label counter cycles modulo G = 2c+3, so
-  a label stays unused for c+2 generations after it expires. Every
-  insert advances an incremental scanner over (normally) two cells, so
-  the scanner laps the whole table within those (c+2)*g inserts and
-  expired cells are physically gone before their label is handed out
-  again, keeping per-operation work bounded. Inserts also reclaim the
-  stale cells of a bucket they need room in, so expired cells never
-  block an insert, but the label guarantee rests on the scanner alone.
-
-* amortized: the reference implementation with G = c+2 and no
-  activity check on lookups; the dictionary content is kept exactly
-  equal to the last c+1 generations by one full scan per generation
-  boundary, which purges the label the counter will use next. Queries
-  agree with the deamortized mode at every step, and the mode exists
-  to make that differential check possible.
-
-Both modes answer queries in constant dictionary work and never answer
-'No' for an element inside the window. Elements must be ``int`` values
-in [0, u); anything else is rejected before any state changes.
+Queries take constant dictionary work and never answer 'No' for an
+element inside the window. Elements must be ``int`` values in [0, u);
+anything else is rejected before any state changes.
 """
 
 from __future__ import annotations
@@ -38,8 +29,6 @@ from .params import FilterParams, derive
 from .prng import MASK64, derive_seed
 
 DEFAULT_UNIVERSE = 1 << 64
-
-MODES = ("deamortized", "amortized")
 
 # tiny dictionaries (a handful of buckets) can genuinely fail to host a
 # legal element set; a floor on the element capacity keeps the cuckoo
@@ -112,24 +101,18 @@ class CostReport:
 class SlidingFilter:
     """Approximate membership over the last n stream elements."""
 
-    def __init__(self, params: FilterParams, seed: int, mode: str = "deamortized",
-                 debug: bool = False):
+    def __init__(self, params: FilterParams, seed: int, debug: bool = False):
         """Build an empty filter.
 
         ``params`` must pass ``FilterParams.validate`` (``create`` derives
         them from n, m, epsilon and u). The fingerprint hash, the
         dictionary's placement and its cuckoo walk all derive from
-        ``seed``, which is taken modulo 2**64. ``mode`` is "deamortized"
-        (the default) or "amortized"; see the module docstring. ``debug``
-        turns on the label-reuse and active-count checks at generation
-        boundaries.
+        ``seed``, which is taken modulo 2**64. ``debug`` turns on the
+        label-reuse and active-count checks at generation boundaries.
         """
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         params.validate()
         self.params = params
         self.seed = seed & MASK64
-        self.mode = mode
         self.debug = debug
 
         self.hash: UniversalHash = new_hash(
@@ -140,14 +123,11 @@ class SlidingFilter:
 
         self.steps = 0
 
-        if mode == "deamortized":
-            # full scanner pass must fit inside the (c+2)*g steps a label
-            # stays stale before reuse; 2 cells per step suffices except
-            # for degenerate tiny geometries
-            span = (params.c + 2) * params.g
-            self._scan_width = max(2, -(-self._dict.capacity_cells // span))
-        else:
-            self._scan_width = 0
+        # full scanner pass must fit inside the (c+2)*g steps a label
+        # stays stale before reuse; 2 cells per step suffices except for
+        # degenerate tiny geometries
+        span = (params.c + 2) * params.g
+        self._scan_width = max(2, -(-self._dict.capacity_cells // span))
         self._set_generation(0, 0)
 
         self._ins_n = 0
@@ -165,7 +145,7 @@ class SlidingFilter:
             fp_range=self.params.fp_range,
             tag_bits=self.params.tag_bits,
             seed=derive_seed(self.seed, seed_label),
-            tag_range=self.gen_modulus,
+            tag_range=self.params.gen_modulus,
         )
 
     def restore(self, steps: int, rebuilds: int, cells) -> None:
@@ -181,33 +161,21 @@ class SlidingFilter:
         self.steps = steps
         self.rebuilds = rebuilds
         self.boundaries, gen_pos = divmod(steps, self.params.g)
-        self._set_generation(gen_pos, self.boundaries % self.gen_modulus)
+        self._set_generation(gen_pos, self.boundaries % self.params.gen_modulus)
 
     def _set_generation(self, gen_pos: int, gen_label: int) -> None:
         """Set the position inside the generation, in [0, g), and the
         current label, in [0, gen_modulus); recomputes the set of stale
-        labels, those more than c generations old (none in amortized
-        mode, whose purge keeps expired labels out of the dictionary)."""
+        labels, those more than c generations old."""
         self.gen_pos = gen_pos
         self.gen_label = gen_label
-        if self.mode == "amortized":
-            self._stale = never_stale
-        else:
-            g_mod = self.gen_modulus
-            self._stale = {t for t in range(g_mod) if (gen_label - t) % g_mod > self.params.c}
+        g_mod = self.params.gen_modulus
+        self._stale = {t for t in range(g_mod) if (gen_label - t) % g_mod > self.params.c}
 
     @classmethod
     def create(cls, n: int, m, epsilon: float, u: int = DEFAULT_UNIVERSE,
-               seed: int = 0, mode: str = "deamortized", debug: bool = False
-               ) -> "SlidingFilter":
-        return cls(derive(n, m, epsilon, u), seed, mode=mode, debug=debug)
-
-    @property
-    def gen_modulus(self) -> int:
-        """Label modulus actually in use: 2c+3 deamortized, c+2 amortized."""
-        if self.mode == "amortized":
-            return self.params.c + 2
-        return self.params.gen_modulus
+               seed: int = 0, debug: bool = False) -> "SlidingFilter":
+        return cls(derive(n, m, epsilon, u), seed, debug=debug)
 
     # -- stream interface ----------------------------------------------------
 
@@ -224,7 +192,7 @@ class SlidingFilter:
         h = self.hash
         stale = self._stale
         fp = ((h.a * x) % h.p) % h.range_size
-        scan = self._scan_width  # 0 in amortized mode
+        scan = self._scan_width
         d.scan_step(scan, stale)
         try:
             d.insert_or_update(fp, self.gen_label, stale)
@@ -238,7 +206,7 @@ class SlidingFilter:
         pos = self.gen_pos + 1
         if pos == self.params.g:
             self.gen_pos = 0
-            cells += self._advance_label()
+            self._advance_label()
         else:
             self.gen_pos = pos
 
@@ -283,32 +251,23 @@ class SlidingFilter:
         self._dict = _Unusable(error)
         raise error
 
-    def _advance_label(self) -> int:
-        g_mod = self.gen_modulus
+    def _advance_label(self) -> None:
+        g_mod = self.params.gen_modulus
         label = (self.gen_label + 1) % g_mod
         self.gen_label = label
         self.boundaries += 1
-        extra_cells = 0
-        if self.mode == "deamortized":
-            stale = self._stale
-            stale.discard(label)
-            stale.add((label - self.params.c - 1) % g_mod)
+        stale = self._stale
+        stale.discard(label)
+        stale.add((label - self.params.c - 1) % g_mod)
         if self.debug and self._dict.tag_count(label):
             raise LabelReuseViolation(
                 f"label {label} reused with {self._dict.tag_count(label)} cells still tagged"
             )
-        if self.mode == "amortized":
-            # purge one generation ahead of the counter: the cells that
-            # fall out of the active window now, whose label is reused next
-            target = (label + 1) % g_mod
-            self._dict.scan_step(self._dict.capacity_cells, {target})
-            extra_cells = self._dict.capacity_cells
         if self.debug and self.boundaries % 97 == 1:
             active = self.active_count()
             limit = (self.params.c + 1) * self.params.g
             if active > limit:
                 raise AssertionError(f"active count {active} exceeds {limit}")
-        return extra_cells
 
     def query(self, x: int) -> bool:
         """True iff x is reported in the window. Never false for window elements."""
@@ -332,7 +291,7 @@ class SlidingFilter:
     def active_count(self) -> int:
         """Stored fingerprints whose tag is currently active."""
         d = self._dict
-        return sum(d.tag_count(t) for t in range(self.gen_modulus)
+        return sum(d.tag_count(t) for t in range(self.params.gen_modulus)
                    if self.is_active_tag(t))
 
     def active_fingerprints(self):
@@ -344,7 +303,7 @@ class SlidingFilter:
     def bits_used(self) -> SpaceReport:
         dict_report = self._dict.bits_used()
         gen_pos_bits = max(1, (self.params.g - 1).bit_length())
-        gen_label_bits = max(1, (self.gen_modulus - 1).bit_length())
+        gen_label_bits = max(1, (self.params.gen_modulus - 1).bit_length())
         hash_bits = 2 * self.hash.p.bit_length()
         aux = gen_pos_bits + gen_label_bits + hash_bits
         return SpaceReport(

@@ -289,15 +289,14 @@ def space_report(n: int, m, epsilon: float, seed: int,
 
 
 def stress_label_safety(n: int, m, epsilon: float, steps: int, seed: int,
-                        u: int = DEFAULT_UNIVERSE, probes_per_step: int = 2,
-                        mode: str = "deamortized") -> PassReport:
+                        u: int = DEFAULT_UNIVERSE, probes_per_step: int = 2) -> PassReport:
     """Drive a debug-mode filter hard and cross-check it against the oracle.
 
     Duplicate-heavy stream (values drawn from a pool of ~2n), with the
     label-reuse assertion armed at every generation boundary and
     probes_per_step in-window probes verified per step.
     """
-    filt = SlidingFilter.create(n, m, epsilon, u=u, seed=seed, mode=mode, debug=True)
+    filt = SlidingFilter.create(n, m, epsilon, u=u, seed=seed, debug=True)
     oracle = WindowOracle(n, m)
     rng = SplitMix64(derive_seed(seed, "stress-stream"))
     pool = max(2 * n, 8)

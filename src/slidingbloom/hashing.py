@@ -18,7 +18,6 @@ property exact when a test harness sets u = p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .prng import SplitMix64, derive_seed
@@ -98,23 +97,3 @@ def new_hash(u: int, range_size: int, seed: int) -> UniversalHash:
     a = 1 + rng.below(p - 1)
     return UniversalHash(p=p, a=a, range_size=range_size)
 
-
-def collision_prob_check(p: int, range_size: int, x: int, y: int) -> Fraction:
-    """Exact collision fraction over all multipliers, for small p.
-
-    Enumerates every a in [1, p-1] and returns the exact fraction with
-    ((a*x) % p) % range_size == ((a*y) % p) % range_size. Test oracle
-    for the universality bound; refuses p large enough to make the
-    enumeration unreasonable.
-    """
-    if p > 10_000:
-        raise ValueError("enumeration oracle limited to p <= 10000")
-    if x == y:
-        raise ValueError("x and y must be distinct")
-    if not (0 <= x < p and 0 <= y < p):
-        raise ValueError("x and y must lie in [0, p)")
-    collisions = 0
-    for a in range(1, p):
-        if ((a * x) % p) % range_size == ((a * y) % p) % range_size:
-            collisions += 1
-    return Fraction(collisions, p - 1)

@@ -8,7 +8,7 @@ integers little-endian, fixed widths):
 
     magic              b"SBFSNAP1"
     version            u16   (currently 3)
-    mode               u8    (0 deamortized, 1 amortized)
+    mode               u8    (always 0; 1 was the retired amortized mode)
     flags              u8    (bit0: slack m is infinite)
     n                  u64
     m                  u64   (0 when infinite)
@@ -39,13 +39,15 @@ counters start fresh). An all-ones key marks an empty cell, whose tag
 is 0.
 
 Loading checks the magic, the version, the length and the trailer,
-then every stored field: mode and flags in range, m = 0 when the slack
+then every stored field: mode 0 and flags in range, m = 0 when the slack
 is infinite, the parameters valid, the dictionary section exactly as
 long as the parameters make it, and the scan cursor, the tags and the
 quotients in range, with a zero tag in every empty cell. A blob that
 fails any check raises SnapshotError. Versions 1 and 2 are refused:
 version 1 cells were placed by an earlier placement function, and
-version 2 stored derived fields in other places.
+version 2 stored derived fields in other places. So is a mode byte of 1:
+it marked a filter of the retired amortized mode, whose labels cycle
+with another modulus.
 """
 
 from __future__ import annotations
@@ -102,7 +104,7 @@ def _encode(f: SlidingFilter) -> bytes:
     out = io.BytesIO()
     out.write(MAGIC)
     out.write(_u(VERSION, 2))
-    out.write(_u(0 if f.mode == "deamortized" else 1, 1))
+    out.write(_u(0, 1))  # mode byte
     infinite = p.m == INFINITE
     out.write(_u(1 if infinite else 0, 1))
     out.write(_u(p.n, 8))
@@ -139,9 +141,10 @@ def _decode(data: bytes) -> SlidingFilter:
     r = _Reader(body, start=10)
     mode_code = r.take(1)
     flags = r.take(1)
-    if mode_code > 1 or flags > 1:
-        raise SnapshotError(f"mode {mode_code} or flags {flags} out of range")
-    mode = "deamortized" if mode_code == 0 else "amortized"
+    if mode_code:
+        raise SnapshotError(f"mode {mode_code} refused: only mode 0 is supported")
+    if flags > 1:
+        raise SnapshotError(f"flags {flags} out of range")
     n = r.take(8)
     m_raw = r.take(8)
     (epsilon,) = struct.unpack("<d", r.take_bytes(8))
@@ -171,7 +174,7 @@ def _decode(data: bytes) -> SlidingFilter:
         raise SnapshotError(f"dictionary section of {len(cells)} bytes is too short "
                             f"for element capacity {params.dict_capacity}")
     try:
-        f = SlidingFilter(params, seed, mode=mode)
+        f = SlidingFilter(params, seed)
     except InvalidParams as exc:
         raise SnapshotError(f"snapshot parameters invalid: {exc}") from None
     try:

@@ -27,6 +27,7 @@ from slidingbloom import (
 )
 from slidingbloom.prng import SplitMix64
 
+from reference_model import CRITERION_6_CONFIGS, sweep_mismatches
 from stream_patterns import all_same, burst_edges, random_pool, round_robin
 
 WORKERS = min(2, os.cpu_count() or 1)
@@ -226,7 +227,7 @@ def test_criterion_5_space_ratio():
               f"eps=2^-6 ratio {r6.ratio:.3f} (<= 3.0)")
 
 
-# -- criterion 6: label safety and mode equivalence ---------------------------
+# -- criterion 6: label safety and reference-model agreement -----------------
 
 def _stress_task(cfg):
     n, m, eps = cfg
@@ -247,26 +248,13 @@ def test_criterion_6_label_safety_and_mode_equivalence():
             ok &= passed and viol == 0 and fn == 0
 
     mismatches = 0
-    for n, m, eps, u, steps in [
-        (12, 3, 0.25, 499, 700),
-        (50, 50, 0.25, 499, 600),
-        (50, 5, 0.25, 499, 600),
-        (20, INFINITE, 0.5, 211, 700),
-    ]:
-        fa = SlidingFilter.create(n, m, eps, u=u, seed=6, mode="amortized", debug=True)
-        fd = SlidingFilter.create(n, m, eps, u=u, seed=6, mode="deamortized", debug=True)
-        rng = SplitMix64(u * 3 + n)
-        for _ in range(steps):
-            x = rng.below(u)
-            fa.insert(x)
-            fd.insert(x)
-            for probe in range(u):
-                if fa.query(probe) != fd.query(probe):
-                    mismatches += 1
+    for n, m, eps, u, steps in CRITERION_6_CONFIGS:
+        f = SlidingFilter.create(n, m, eps, u=u, seed=6, debug=True)
+        mismatches += sweep_mismatches(f, u, steps, stream_seed=u * 3 + n)
     ok &= mismatches == 0
     dt = time.perf_counter() - t0
-    _announce(6, "label safety and mode equivalence", ok,
-              f"- 3x1e6 debug steps clean, exhaustive mode sweeps "
+    _announce(6, "label safety and reference-model agreement", ok,
+              f"- 3x1e6 debug steps clean, exhaustive model sweeps "
               f"mismatches {mismatches}, {dt:.0f}s")
 
 

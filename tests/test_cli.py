@@ -92,6 +92,18 @@ def test_dedup_bad_config_exits_2(capsys, tmp_path):
     assert "epsilon" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "binary"])
+def test_dedup_unopenable_input_exits_2(capsys, tmp_path, fmt):
+    # a missing path and a directory both fail in open(): a usage error,
+    # reported on stderr, not a traceback
+    for path in (tmp_path / "missing.txt", tmp_path):
+        code, out, err = run(capsys, "dedup", "-n", "10", "-e", "0.01",
+                             "--format", fmt, str(path))
+        assert code == 2
+        assert err.startswith("error: ") and str(path) in err
+        assert out == ""
+
+
 def test_unknown_flag_exits_2(capsys):
     assert cli.main(["dedup", "--bogus"]) == 2
     capsys.readouterr()

@@ -121,6 +121,21 @@ def test_scan_cursor_wraps_and_counts_touched():
     assert d._cursor == (3 * (cap + 1)) % cap
 
 
+def test_scan_width_bounded_by_one_lap():
+    d = make(cap=20)
+    cap = d.capacity_cells
+    d.insert_or_update(77, 4, never_stale)
+    d.scan_step(5, never_stale)
+    for k in (0, cap + 1):
+        with pytest.raises(ValueError, match="scan width"):
+            d.scan_step(k, {4})
+        assert d._cursor == 5 and d.occupancy() == 1
+    # the widest step laps the table once from wherever the cursor is
+    assert d.scan_step(cap, {4}) == 1
+    assert d._cursor == 5 and d.last_op_cells == cap
+    assert d.occupancy() == 0
+
+
 def test_bounded_work_member_delete_insert():
     d = make(cap=300, fp_range=10**8, seed=5)
     rng = SplitMix64(2)

@@ -14,12 +14,12 @@ from slidingbloom import (
     SlidingFilter,
     UnrecoverableOverflow,
     WindowOracle,
-    derive,
     dictionary,
     never_stale,
 )
 from slidingbloom.prng import SplitMix64
 
+from reference_model import CRITERION_6_CONFIGS, sweep_mismatches
 from stream_patterns import all_same, burst_edges, distinct, random_pool, round_robin
 
 U64 = 2**64
@@ -99,12 +99,6 @@ def test_determinism_same_seed_same_behavior():
     assert answers[0] == answers[1]
 
 
-def test_mode_flag_validated():
-    p = derive(10, 10, 0.25, 1000)
-    with pytest.raises(ValueError):
-        SlidingFilter(p, 0, mode="sideways")
-
-
 @pytest.mark.parametrize("pattern", ["random", "all_same", "round_robin", "burst"])
 @pytest.mark.parametrize("m", [1, 25, INFINITE])
 def test_no_false_negatives_vs_oracle(pattern, m):
@@ -174,17 +168,18 @@ def test_mode_equivalence_small_exhaustive():
         (20, INFINITE, 0.5, 211, 600),
     ]
     for n, m, eps, u, steps in configs:
-        fa = SlidingFilter.create(n, m, eps, u=u, seed=21, mode="amortized", debug=True)
-        fd = SlidingFilter.create(n, m, eps, u=u, seed=21, mode="deamortized", debug=True)
-        assert fa.gen_modulus == fa.params.c + 2
-        assert fd.gen_modulus == 2 * fd.params.c + 3
-        rng = SplitMix64(n * 1000 + u)
-        for t in range(steps):
-            x = rng.below(u)
-            fa.insert(x)
-            fd.insert(x)
-            for probe in range(u):
-                assert fa.query(probe) == fd.query(probe), (n, m, eps, t, probe)
+        f = SlidingFilter.create(n, m, eps, u=u, seed=21, debug=True)
+        assert sweep_mismatches(f, u, steps, stream_seed=n * 1000 + u) == 0, (n, m, eps)
+
+
+def test_reference_model_sees_a_disabled_scanner(monkeypatch):
+    # without the scanner, expired cells outlive their label and answer
+    # Yes again once it is reused; criterion 6's sweeps, at half their
+    # length, must see that on every configuration
+    monkeypatch.setattr(dictionary.Dictionary, "scan_step", lambda self, k, stale: 0)
+    for n, m, eps, u, steps in CRITERION_6_CONFIGS:
+        f = SlidingFilter.create(n, m, eps, u=u, seed=6, debug=False)
+        assert sweep_mismatches(f, u, steps // 2, stream_seed=u * 3 + n) > 0, (n, m, eps)
 
 
 @pytest.mark.parametrize("n,m,eps,u", [
@@ -211,7 +206,7 @@ def test_label_reuse_hook_fires_when_sabotaged():
     # (driven via the boundary directly: the scanner would otherwise be
     # entitled to reclaim the planted stale cell first)
     f = SlidingFilter.create(20, 20, 0.25, seed=41, debug=True)
-    doomed = (f.gen_label + 1) % f.gen_modulus
+    doomed = (f.gen_label + 1) % f.params.gen_modulus
     f.dictionary.insert_or_update(99, doomed, never_stale)
     with pytest.raises(LabelReuseViolation):
         f._advance_label()
@@ -306,7 +301,7 @@ def test_resident_memory_bounded_after_first_label_cycle():
     f = SlidingFilter.create(1000, INFINITE, 2**-20, seed=5)
     assert f.dictionary.quotient_bits >= 20
     rng = SplitMix64(17)
-    cycle = f.gen_modulus * f.params.g
+    cycle = f.params.gen_modulus * f.params.g
     traced = 2000
     for _ in range(cycle):
         f.insert(rng.below(2**64))

@@ -109,11 +109,6 @@ def test_stress_degenerate_c_one():
     assert s.passed and s.label_violations == 0
 
 
-def test_stress_amortized_mode():
-    s = stress_label_safety(50, 10, 1 / 16, steps=4000, seed=6, mode="amortized")
-    assert s.passed
-
-
 def test_reports_serialize_infinite_slack():
     r = space_report(256, INFINITE, 2**-4, seed=0)
     d = r.to_dict()

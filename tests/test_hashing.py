@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from slidingbloom import UniversalHash, collision_prob_check, is_prime, new_hash, next_prime
+from slidingbloom import UniversalHash, is_prime, new_hash, next_prime
+
+
+def collision_prob_check(p, range_size, x, y):
+    """Exact fraction of multipliers a in [1, p-1] with
+    ((a*x) % p) % range_size == ((a*y) % p) % range_size, by enumeration."""
+    collisions = sum(((a * x) % p) % range_size == ((a * y) % p) % range_size
+                     for a in range(1, p))
+    return Fraction(collisions, p - 1)
 
 
 def test_prime_search():

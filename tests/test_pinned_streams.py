@@ -41,12 +41,11 @@ def drive(f, length, seed, repeat_every):
     return bytes(answers)
 
 
-# name: (n, m, epsilon, mode, seed, length, repeat_every, MAX_KICKS or None)
+# name: (n, m, epsilon, seed, length, repeat_every, MAX_KICKS or None)
 STREAMS = {
-    "deamortized": (2000, INFINITE, 2**-8, "deamortized", 1, 10_000, 4, None),
-    "amortized": (2000, 2000, 2**-8, "amortized", 2, 6000, 4, None),
-    "tiny-eps": (500, INFINITE, 2**-20, "deamortized", 3, 3000, 4, None),
-    "rebuilt": (2000, 2000, 2**-8, "deamortized", 2, 12_000, 0, 30),
+    "deamortized": (2000, INFINITE, 2**-8, 1, 10_000, 4, None),
+    "tiny-eps": (500, INFINITE, 2**-20, 3, 3000, 4, None),
+    "rebuilt": (2000, 2000, 2**-8, 2, 12_000, 0, 30),
 }
 
 # name: (sha256 of save(), sha256 of the answers, step_cost_stats() fields)
@@ -55,11 +54,6 @@ PINNED = {
         "96e63a709b5f892a0930ef500449089c8761300a8b88430948f713e6c72a3e2e",
         "139f1e145076c0567be7ceb4fd536c5a88b3d673dd57cf92f5019bd76a414480",
         (10000, 42, 10, 10.574, 10000, 8, 6.6104, 8, 2, 0),
-    ),
-    "amortized": (
-        "8bd9ddcf19884fc14588adb4ecd9c503fbcb324555333518b4f6910b59ca3899",
-        "e9b7ce84e078cc0efce959fbea5b3dfde79d5ad04d22c08afa99a8ee4beaf836",
-        (6000, 2524, 2512, 18.438666666666666, 6000, 8, 6.354666666666667, 6, 0, 0),
     ),
     "tiny-eps": (
         "aec45ffa1a04978b6603419425c8f3ec6e61f7d311b298b6eae40dc2d9e12abd",
@@ -76,16 +70,16 @@ PINNED = {
 
 @pytest.mark.parametrize("name", sorted(STREAMS))
 def test_stream_decisions_pinned(name, monkeypatch):
-    n, m, eps, mode, seed, length, repeat_every, max_kicks = STREAMS[name]
+    n, m, eps, seed, length, repeat_every, max_kicks = STREAMS[name]
     if max_kicks is not None:
         monkeypatch.setattr(dictionary, "MAX_KICKS", max_kicks)
-    f = SlidingFilter.create(n, m, eps, seed=seed, mode=mode)
+    f = SlidingFilter.create(n, m, eps, seed=seed)
     answers = drive(f, length, seed, repeat_every)
     blob = io.BytesIO()
     f.save(blob)
     stats = f.step_cost_stats()
 
-    assert f.boundaries >= 2 * f.gen_modulus  # the label counter wrapped twice
+    assert f.boundaries >= 2 * f.params.gen_modulus  # the label counter wrapped twice
     assert stats.max_kick_chain > 0
     assert (f.rebuilds > 0) == (max_kicks is not None)
     f.dictionary.check_consistency()

@@ -27,15 +27,14 @@ def roundtrip(f):
 
 
 @pytest.mark.parametrize("m", [10, INFINITE])
-@pytest.mark.parametrize("mode", ["deamortized", "amortized"])
-def test_roundtrip_bit_exact(m, mode):
-    f = SlidingFilter.create(80, m, 2**-5, seed=17, mode=mode)
+def test_roundtrip_bit_exact(m):
+    f = SlidingFilter.create(80, m, 2**-5, seed=17)
     for x in random_pool(1234, 300, seed=1):
         f.insert(x)
     blob = roundtrip(f)
     g = load_filter(blob)
     assert roundtrip(g) == blob
-    assert g.mode == mode and g.params == f.params
+    assert g.params == f.params
     assert (g.gen_pos, g.gen_label, g.boundaries) == (f.gen_pos, f.gen_label, f.boundaries)
     for x in random_pool(500, 300, seed=2):
         f.insert(x)
@@ -168,7 +167,7 @@ def test_generation_derived_from_steps():
     # refused blobs where they disagreed with the counters)
     f = busy_filter()
     blob = roundtrip(f)
-    g, modulus = f.params.g, f.gen_modulus
+    g, modulus = f.params.g, f.params.gen_modulus
     for steps in (0, f.steps + 1, g * modulus * 7 + 3, 2**64 - 1):
         h = load_filter(resealed(blob, STEPS, steps, 8))
         assert h.steps == steps
@@ -202,8 +201,12 @@ def test_seed_outside_u64_taken_modulo(seed):
 
 def test_header_fields_range_checked():
     blob = roundtrip(busy_filter())
-    with pytest.raises(SnapshotError, match="mode"):
-        load_filter(resealed(blob, MODE, 2, 1))
+    assert blob[MODE] == 0
+    # mode 1 marked a filter of the retired amortized mode, whose labels
+    # cycled with another modulus
+    for mode in (1, 2):
+        with pytest.raises(SnapshotError, match=f"mode {mode}"):
+            load_filter(resealed(blob, MODE, mode, 1))
     with pytest.raises(SnapshotError, match="flags"):
         load_filter(resealed(blob, FLAGS, 2, 1))
     with pytest.raises(SnapshotError, match="infinite-slack"):
@@ -225,7 +228,7 @@ def test_cell_fields_range_checked():
     with pytest.raises(SnapshotError, match="cursor"):
         load_filter(resealed(blob, CURSOR, d.capacity_cells, 8))
     with pytest.raises(SnapshotError, match="tag"):
-        load_filter(resealed(blob, tags + occupied * tw, f.gen_modulus, tw))
+        load_filter(resealed(blob, tags + occupied * tw, f.params.gen_modulus, tw))
     with pytest.raises(SnapshotError, match="quotient"):
         load_filter(resealed(blob, KEYS + occupied * kw, 2 << d.quotient_bits, kw))
     with pytest.raises(SnapshotError, match="nonzero tag in an empty cell"):
