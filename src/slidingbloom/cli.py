@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: dedup (flag repeats in a stream), fpr, space, bench.
-Text tokens are pre-hashed to 64-bit integers with FNV-1a (plumbing,
-unrelated to the filter's internal universal hash); binary input is
-consumed as little-endian 64-bit words.
+Text is read and echoed as UTF-8, whatever the locale; its tokens are
+pre-hashed to 64-bit integers with FNV-1a of their UTF-8 bytes
+(plumbing, unrelated to the filter's internal universal hash). Binary
+input is consumed as little-endian 64-bit words.
 
 Exit codes: 0 ok, 2 usage or invalid configuration, 3 dictionary
 insert overflow, 4 statistically underpowered fpr run.
@@ -12,6 +13,7 @@ insert overflow, 4 statistically underpowered fpr run.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import sys
@@ -82,6 +84,28 @@ def _tokens_binary(stream):
             return
 
 
+def _utf8_stdin(release):
+    """sys.stdin read as UTF-8; detached on release, which leaves
+    sys.stdin open where closing the wrapper would not."""
+    stream = io.TextIOWrapper(sys.stdin.buffer, "utf-8")
+    release.callback(stream.detach)
+    return stream
+
+
+def _utf8_stdout(release):
+    """sys.stdout written as UTF-8, so that every token read can be
+    echoed; flushed and detached on release. A text sink without a byte
+    buffer (io.StringIO) is returned as it is."""
+    out = sys.stdout
+    if getattr(out, "buffer", None) is None:
+        return out
+    out.flush()
+    stream = io.TextIOWrapper(out.buffer, "utf-8",
+                              line_buffering=getattr(out, "line_buffering", False))
+    release.callback(stream.detach)
+    return stream
+
+
 def _emit_json(obj, out):
     out.write(json.dumps(obj, indent=2, sort_keys=True))
     out.write("\n")
@@ -95,58 +119,57 @@ def _run_dedup(args) -> int:
         return EXIT_USAGE
 
     filt = SlidingFilter(params, args.seed)
-    out = sys.stdout
+    binary = args.format == "binary"
+    with contextlib.ExitStack() as release:
+        # tokens hash as their UTF-8 bytes, so text is read as UTF-8, and
+        # echoed as UTF-8, whatever the locale or the I/O encoding says
+        if args.input == "-":
+            source = sys.stdin.buffer if binary else _utf8_stdin(release)
+        else:
+            try:
+                source = release.enter_context(
+                    open(args.input, "rb") if binary else open(args.input, encoding="utf-8"))
+            except OSError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return EXIT_USAGE
+        tokens = _tokens_binary(source) if binary else _tokens_text(source)
+        out = _utf8_stdout(release)
 
-    if args.input == "-":
-        source = sys.stdin.buffer if args.format == "binary" else sys.stdin
-        close = False
-    else:
+        items = 0
+        flagged = 0
         try:
-            source = open(args.input, "rb" if args.format == "binary" else "r")
-        except OSError as exc:
+            for token, value in tokens:
+                dup = filt.query(value)
+                filt.insert(value)
+                items += 1
+                if dup:
+                    flagged += 1
+                if not args.quiet:
+                    out.write(f"{items - 1}\t{'dup' if dup else 'new'}\t{token}\n")
+        except InsertOverflow as exc:
+            print(f"error: insert overflow: {exc}", file=sys.stderr)
+            return EXIT_OVERFLOW
+        except ValueError as exc:  # text that is not UTF-8, a partial or out-of-universe word
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        close = True
-    tokens = _tokens_binary(source) if args.format == "binary" else _tokens_text(source)
 
-    items = 0
-    flagged = 0
-    try:
-        for token, value in tokens:
-            dup = filt.query(value)
-            filt.insert(value)
-            items += 1
-            if dup:
-                flagged += 1
-            if not args.quiet:
-                out.write(f"{items - 1}\t{'dup' if dup else 'new'}\t{token}\n")
-    except InsertOverflow as exc:
-        print(f"error: insert overflow: {exc}", file=sys.stderr)
-        return EXIT_OVERFLOW
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    finally:
-        if close:
-            source.close()
-
-    space = filt.bits_used()
-    if args.out == "json":
-        _emit_json({
-            "schema": "slidingbloom.dedup/1",
-            "items": items,
-            "flagged": flagged,
-            "window": args.window,
-            "slack": "inf" if args.slack == INFINITE else args.slack,
-            "epsilon": args.epsilon,
-            "seed": args.seed,
-            "total_bits": space.total_bits,
-            "dictionary_bits": space.dictionary_bits,
-        }, out)
-    else:
-        out.write(f"items\t{items}\n")
-        out.write(f"flagged\t{flagged}\n")
-        out.write(f"total_bits\t{space.total_bits}\n")
+        space = filt.bits_used()
+        if args.out == "json":
+            _emit_json({
+                "schema": "slidingbloom.dedup/1",
+                "items": items,
+                "flagged": flagged,
+                "window": args.window,
+                "slack": "inf" if args.slack == INFINITE else args.slack,
+                "epsilon": args.epsilon,
+                "seed": args.seed,
+                "total_bits": space.total_bits,
+                "dictionary_bits": space.dictionary_bits,
+            }, out)
+        else:
+            out.write(f"items\t{items}\n")
+            out.write(f"flagged\t{flagged}\n")
+            out.write(f"total_bits\t{space.total_bits}\n")
     return EXIT_OK
 
 

@@ -541,6 +541,14 @@ class Dictionary:
         invariants that need a full decode (no duplicates) are left to
         ``check_consistency``. The placement tables are drawn again only
         if the placement seed differs from this dictionary's.
+
+        The planes are checked by counting over whole arrays: keys above
+        the largest in-range key must all be empty keys, the largest tag
+        must be below tag_range, and no empty cell may carry a tag; one
+        bincount of all tags, less the empty cells from bin 0, gives the
+        per-tag counts. Only a refusal looks for the offending value.
+        Each plane is then copied once, in place, into the arrays the
+        constructor allocated (keys wider than 64 bits stay a list).
         """
         data = memoryview(data).cast("B")
         cap, key_width, tag_width = self.capacity_cells, self._key_width, self._tag_width
@@ -552,36 +560,44 @@ class Dictionary:
         if cursor >= cap:
             raise ValueError(f"scan cursor {cursor} outside [0, {cap})")
 
-        key_plane = data[_HEADER.size:key_end]
+        key_plane, tag_plane = data[_HEADER.size:key_end], data[key_end:]
+        empty, top_key = self._empty, 2 * self._q_max + 1
         if isinstance(self._keys, list):
             keys = [int.from_bytes(key_plane[i:i + key_width], "little")
                     for i in range(0, len(key_plane), key_width)]
-            occupied = np.fromiter((k != self._empty for k in keys), dtype=bool, count=cap)
-            top = max((k for k in keys if k != self._empty), default=0)
+            plane = np.array(keys, dtype=object)
         else:
             plane = np.frombuffer(key_plane, dtype=f"<u{key_width}")
-            occupied = plane != self._empty
-            top = int(plane[occupied].max()) if occupied.any() else 0
-            keys = array(self._keys.typecode, plane.astype(f"=u{key_width}").tobytes())
-        if top >> 1 > self._q_max:
+        vacant = plane == empty
+        vacancies = int(np.count_nonzero(vacant))
+        # the empty key is the largest value of its width, so the keys
+        # above top_key are the empty ones unless a quotient is too large
+        if np.count_nonzero(plane > top_key) != vacancies:
+            top = int(plane[~vacant].max())
             raise ValueError(f"quotient {top >> 1} outside [0, {self._q_max}]")
-        tags = np.frombuffer(data[key_end:], dtype=f"<u{tag_width}")
-        live_tags = tags[occupied]
-        if live_tags.size and int(live_tags.max()) >= self.tag_range:
-            raise ValueError(f"tag {int(live_tags.max())} outside [0, {self.tag_range})")
-        if tags[~occupied].any():
+        tags = np.frombuffer(tag_plane, dtype=f"<u{tag_width}")
+        if int(tags.max()) >= self.tag_range:
+            live_top = int(tags[~vacant].max(initial=0))
+            if live_top >= self.tag_range:
+                raise ValueError(f"tag {live_top} outside [0, {self.tag_range})")
+        if np.logical_and(tags, vacant).any():
             raise ValueError("nonzero tag in an empty cell")
+        # every tag is now below tag_range, and every empty cell's tag is 0
+        counts = np.bincount(tags, minlength=self.tag_range)
+        counts[0] -= vacancies
 
         if placement_seed != self._placement_seed:
             self._placement_seed = placement_seed
             self._init_placement()
         self._walk.state = walk_state
         self._cursor = cursor
-        self._keys = keys
-        self._tags = array(self._tags.typecode, tags.astype(f"=u{tag_width}").tobytes())
-        self._occupancy = live_tags.size
-        self._tag_counts = np.bincount(live_tags.astype(np.int64),
-                                       minlength=self.tag_range).tolist()
+        if isinstance(self._keys, list):
+            self._keys = keys
+        else:
+            _copy_little_endian(self._keys, key_plane)
+        _copy_little_endian(self._tags, tag_plane)
+        self._occupancy = cap - vacancies
+        self._tag_counts = counts.tolist()
 
 
 def _little_endian(items: array) -> bytes:
@@ -589,3 +605,10 @@ def _little_endian(items: array) -> bytes:
         items = array(items.typecode, items)
         items.byteswap()
     return items.tobytes()
+
+
+def _copy_little_endian(items: array, plane) -> None:
+    """Overwrite items in place with a plane of as many little-endian items."""
+    memoryview(items).cast("B")[:] = plane
+    if sys.byteorder == "big":
+        items.byteswap()

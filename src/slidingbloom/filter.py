@@ -110,6 +110,18 @@ class SlidingFilter:
         ``seed``, which is taken modulo 2**64. ``debug`` turns on the
         label-reuse and active-count checks at generation boundaries.
         """
+        self._build(params, seed, debug, rebuilds=0)
+
+    @classmethod
+    def _rebuilt(cls, params: FilterParams, seed: int, rebuilds: int) -> "SlidingFilter":
+        """An empty filter whose dictionary has the placement of rebuild
+        number ``rebuilds``, so a snapshot of a filter that rebuilt
+        restores into it without drawing the placement tables twice."""
+        f = cls.__new__(cls)
+        f._build(params, seed, False, rebuilds)
+        return f
+
+    def _build(self, params: FilterParams, seed: int, debug: bool, rebuilds: int) -> None:
         params.validate()
         self.params = params
         self.seed = seed & MASK64
@@ -118,8 +130,8 @@ class SlidingFilter:
         self.hash: UniversalHash = new_hash(
             params.u, params.fp_range, derive_seed(seed, "fingerprint")
         )
-        self.rebuilds = 0
-        self._dict = self._new_dictionary("dictionary")
+        self.rebuilds = rebuilds
+        self._dict = self._new_dictionary()
 
         self.steps = 0
 
@@ -139,17 +151,20 @@ class SlidingFilter:
         self._q_max = 0
         self.boundaries = 0
 
-    def _new_dictionary(self, seed_label: str) -> Dictionary:
+    def _new_dictionary(self) -> Dictionary:
+        """A dictionary seeded for the current rebuild count."""
+        label = f"dictionary-rebuild-{self.rebuilds}" if self.rebuilds else "dictionary"
         return Dictionary(
             element_capacity=max(self.params.dict_capacity, MIN_DICT_ELEMENTS),
             fp_range=self.params.fp_range,
             tag_bits=self.params.tag_bits,
-            seed=derive_seed(self.seed, seed_label),
+            seed=derive_seed(self.seed, label),
             tag_range=self.params.gen_modulus,
         )
 
-    def restore(self, steps: int, rebuilds: int, cells) -> None:
-        """Resume saved state in this freshly built filter.
+    def restore(self, steps: int, cells) -> None:
+        """Resume saved state in this freshly built filter, whose rebuild
+        count (``_rebuilt``) is already the saved one.
 
         ``steps`` is the stream position, from which the generation
         position, boundary count and label follow; ``cells`` is the
@@ -159,7 +174,6 @@ class SlidingFilter:
         """
         self._dict.restore(cells)
         self.steps = steps
-        self.rebuilds = rebuilds
         self.boundaries, gen_pos = divmod(steps, self.params.g)
         self._set_generation(gen_pos, self.boundaries % self.params.gen_modulus)
 
@@ -234,7 +248,7 @@ class SlidingFilter:
             survivors.append((overflow.fp, overflow.tag))
         for _ in range(MAX_REBUILDS_PER_INSERT):
             self.rebuilds += 1
-            fresh = self._new_dictionary(f"dictionary-rebuild-{self.rebuilds}")
+            fresh = self._new_dictionary()
             try:
                 for fp, tag in survivors:
                     fresh.insert_or_update(fp, tag, never_stale)

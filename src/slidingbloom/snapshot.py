@@ -31,7 +31,14 @@ Loading builds the filter through its constructor, which derives the
 hash, the scan width and the dictionary's geometry and cell widths, then
 resumes it at ``steps`` (generation position, boundary count and label
 follow) with the stored dictionary state (occupancy and per-tag counts
-follow from the cells). A key is 2q + side - 1, q being the in-bucket
+follow from the cells). The dictionary is constructed for the stored
+rebuild count, whose seed label gives the placement seed a saved filter
+stores, so a filter that rebuilt draws its placement tables once; a
+stored placement seed that differs is still honoured, by drawing them
+again. The blob is read through memoryviews: the checksummed body and
+the cells are not copied. The key and tag planes are range-checked
+with whole-array counts and copied once, in place, into the arrays the
+constructor allocated. A key is 2q + side - 1, q being the in-bucket
 quotient of the fingerprint; together with the cell's position it
 reconstructs the fingerprint exactly, so a round trip is bit-exact and
 the reloaded filter continues the stream identically (instrumentation
@@ -135,7 +142,7 @@ def _decode(data: bytes) -> SlidingFilter:
                             f"version {VERSION} only)")
     if len(data) < 10 + _CRC.size:
         raise SnapshotError("truncated snapshot")
-    body, (crc,) = data[:-_CRC.size], _CRC.unpack(data[-_CRC.size:])
+    body, (crc,) = memoryview(data)[:-_CRC.size], _CRC.unpack(data[-_CRC.size:])
     if zlib.crc32(body) != crc:
         raise SnapshotError("checksum mismatch: snapshot is corrupted or truncated")
     r = _Reader(body, start=10)
@@ -174,11 +181,11 @@ def _decode(data: bytes) -> SlidingFilter:
         raise SnapshotError(f"dictionary section of {len(cells)} bytes is too short "
                             f"for element capacity {params.dict_capacity}")
     try:
-        f = SlidingFilter(params, seed)
+        f = SlidingFilter._rebuilt(params, seed, rebuilds)
     except InvalidParams as exc:
         raise SnapshotError(f"snapshot parameters invalid: {exc}") from None
     try:
-        f.restore(steps, rebuilds, cells)
+        f.restore(steps, cells)
     except ValueError as exc:
         raise SnapshotError(f"snapshot cells invalid: {exc}") from None
     return f

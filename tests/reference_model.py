@@ -18,6 +18,8 @@ CRITERION_6_CONFIGS = [
     (50, 50, 0.25, 499, 600),
     (50, 5, 0.25, 499, 600),
     (20, INFINITE, 0.5, 211, 700),
+    # a nearly full table: side-2 cells, kicks and bucket-2 matches
+    (40, INFINITE, 0.25, 499, 600),
 ]
 
 

@@ -1,6 +1,10 @@
 import io
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +74,60 @@ def test_dedup_binary_partial_word_after_buffer_boundary(capsys, tmp_path):
     assert code == 2
     assert f"error: trailing 3 bytes at word {per_buffer}" in err
     assert [line.split("\t")[2] for line in out.splitlines()] == [str(w) for w in words]
+
+
+# "àb àb" in UTF-8: a latin-1 decoder reads byte 0xA0 as a no-break
+# space, which str.split() splits on, and would see four tokens
+UTF8_TEXT = "àb àb\n".encode("utf-8")
+
+
+def run_cli_process(*args, stdin=b"", **env):
+    """python <args> in a fresh interpreter that imports this slidingbloom."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], input=stdin, capture_output=True,
+                          env={**os.environ, "PYTHONPATH": path, **env}, timeout=120)
+
+
+DEDUP_JSON = ("-m", "slidingbloom.cli", "dedup", "-n", "10", "-e", "0.01",
+              "--quiet", "--out", "json")
+
+
+def test_dedup_stdin_is_utf8_whatever_the_io_encoding():
+    done = run_cli_process(*DEDUP_JSON, "-", stdin=UTF8_TEXT, PYTHONIOENCODING="latin-1")
+    assert done.returncode == 0, done.stderr
+    stats = json.loads(done.stdout)
+    assert (stats["items"], stats["flagged"]) == (2, 1)
+    done = run_cli_process(*DEDUP_JSON, "-", stdin=b"\xff b\n")
+    assert done.returncode == 2
+    assert b"utf-8" in done.stderr
+
+
+def test_dedup_echoes_tokens_as_utf8_whatever_the_io_encoding():
+    # latin-1 cannot encode "中": the verbose lines are UTF-8 all the same
+    text = "中 b 中\n"
+    done = run_cli_process("-m", "slidingbloom.cli", "dedup", "-n", "10", "-e", "0.01", "-",
+                           stdin=text.encode("utf-8"), PYTHONIOENCODING="latin-1")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.decode("utf-8").splitlines()
+    assert lines[:4] == ["0\tnew\t中", "1\tnew\tb", "2\tdup\t中", "items\t3"]
+
+
+def test_dedup_path_opened_with_an_explicit_encoding(tmp_path):
+    src = tmp_path / "in.txt"
+    src.write_bytes(UTF8_TEXT)
+    done = run_cli_process("-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+                           *DEDUP_JSON, str(src))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["items"] == 2
+
+
+def test_dedup_leaves_stdin_open(capsys, monkeypatch):
+    stdin = io.TextIOWrapper(io.BytesIO(UTF8_TEXT), encoding="latin-1")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    code, out, _ = run(capsys, "dedup", "-n", "10", "-e", "0.01", "--quiet", "-")
+    assert code == 0 and "items\t2" in out.splitlines()
+    assert not stdin.closed and not stdin.buffer.closed
 
 
 def test_dedup_deterministic_output(capsys, tmp_path):

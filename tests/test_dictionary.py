@@ -44,6 +44,49 @@ def test_insert_member_update_delete():
     d.check_consistency()
 
 
+def test_update_with_the_same_tag_keeps_the_counts():
+    d = make()
+    d.insert_or_update(42, 3, never_stale)
+    d.insert_or_update(42, 3, never_stale)
+    assert d.tag_count(3) == 1 and d.occupancy() == 1
+    d.check_consistency()
+
+
+def test_match_in_bucket_2_is_updated_in_place():
+    # an element that had to take its second bucket is found there even
+    # once its first bucket has room: the update must not store it twice
+    d = make(cap=60, fp_range=10**6, seed=9)
+    rng = SplitMix64(4)
+    while True:
+        fp = rng.below(10**6)
+        d.insert_or_update(fp, 1, never_stale)
+        cell = next(i for i, f, _t in d.entries() if f == fp)
+        b1, b2 = d.buckets_for(fp)
+        if cell // BUCKET_SIZE == b2 != b1:
+            break
+    d.insert_or_update(fp, 2, never_stale)
+    d.scan_step(d.capacity_cells, {1})  # empties fp's first bucket
+    assert d.occupancy() == 1
+    d.insert_or_update(fp, 3, never_stale)
+    assert d.occupancy() == 1 and d.tag_count(3) == 1
+    assert [(i, f) for i, f, _t in d.entries()] == [(cell, fp)]
+    d.check_consistency()
+
+
+def test_scan_frees_a_stale_cell_beside_an_empty_one_while_0_is_stale():
+    # an empty cell's tag is 0, so a window holding one always meets a
+    # stale tag while 0 is stale; the occupied cell beside it must go
+    d = make()
+    d.insert_or_update(42, 0, never_stale)
+    (cell, _fp, _tag), = d.entries()
+    if cell:
+        d.scan_step(cell, never_stale)
+    assert d.scan_step(2, {0}) == 1
+    assert d.occupancy() == 0 and d.tag_count(0) == 0
+    assert d.scan_step(2, {0}) == 0 and d.occupancy() == 0
+    d.check_consistency()
+
+
 def test_member_is_read_only_on_stale_hits():
     d = make()
     d.insert_or_update(42, 3, never_stale)
@@ -341,7 +384,13 @@ def _cell_planes(d):
 
 
 def test_codec_range_checks():
-    d = filled()
+    # 2**80 takes the list path of keys wider than 64 bits
+    for fp_range in (10**7, 2**80):
+        codec_range_checks(fp_range)
+
+
+def codec_range_checks(fp_range):
+    d = filled(fp_range)
     blob = d.to_bytes()
     keys_at, tags_at = _cell_planes(d)
     occupied = next(i for i, _fp, _t in d.entries())
@@ -358,8 +407,9 @@ def test_codec_range_checks():
         "tag": patched(tags_at + occupied * tw, d.tag_range, tw),
         "quotient": patched(keys_at + occupied * kw, 2 * (d._q_max + 1), kw),
         "empty tag": patched(tags_at + free * tw, 1, tw),
+        "out-of-range tag in an empty cell": patched(tags_at + free * tw, d.tag_range, tw),
     }
-    target = make(cap=300, fp_range=10**7, tag_bits=5, seed=5)
+    target = make(cap=300, fp_range=fp_range, tag_bits=5, seed=5)
     before = target.to_bytes()
     for what, data in bad.items():
         with pytest.raises(ValueError, match=what.split()[-1]):
@@ -368,5 +418,5 @@ def test_codec_range_checks():
         with pytest.raises(ValueError):
             target.restore(blob[:cut])
     with pytest.raises(ValueError):  # another geometry: the planes have another length
-        make(cap=400, fp_range=10**7, tag_bits=5, seed=5).restore(blob)
+        make(cap=400, fp_range=fp_range, tag_bits=5, seed=5).restore(blob)
     assert target.to_bytes() == before  # a refused restore changes nothing
