@@ -36,10 +36,12 @@ placement keeps no state per quotient class.
 Storage is typed. A cell holds one key 2q + side - 1 in an unsigned
 ``array.array`` (a Python list once keys outgrow 64 bits), with the
 all-ones value of the key width marking an empty cell, and one tag in
-a second typed array. An empty cell's tag is 0. ``to_bytes`` and
+a second typed array. An empty cell's tag is 0. ``to_buffers`` and
 ``restore`` move the state that cannot be derived from the constructor
 arguments (placement seed, walk state, scan cursor and the cells) in
-bulk, range-checking it on the way in.
+bulk, range-checking it on the way in. Only the occupancy is counted as
+cells change; ``tag_count`` and ``live_count`` sweep the planes on
+demand, so no update pays for them.
 
 Staleness is the caller's notion: every operation takes ``stale``, the
 set of tags that are stale now (a ``set`` or ``frozenset`` of ints; the
@@ -82,7 +84,7 @@ _MAX_CHAR_BITS = 12
 # unsigned array typecode for each item width in bytes
 _TYPECODES = {array(code).itemsize: code for code in "QLIHB"}
 
-# to_bytes header: placement_seed, walk_state, cursor
+# to_buffers header: placement_seed, walk_state, cursor
 _HEADER = struct.Struct("<QQQ")
 
 
@@ -212,7 +214,6 @@ class Dictionary:
 
         self._cursor = 0
         self._occupancy = 0
-        self._tag_counts = [0] * self.tag_range
 
         # per-operation instrumentation (cells counted bucket-granular)
         self.last_op_cells = 0
@@ -297,7 +298,6 @@ class Dictionary:
         h = self._mix(q)
         keys = self._keys
         tags = self._tags
-        counts = self._tag_counts
         self.last_op_cells = 2 * BUCKET_SIZE
         self.last_op_kicks = 0
 
@@ -317,8 +317,6 @@ class Dictionary:
         else:
             i = -1
         if i >= 0:
-            counts[tags[i]] -= 1
-            counts[tag] += 1
             tags[i] = tag
             return
 
@@ -339,16 +337,13 @@ class Dictionary:
         if i >= 0:
             keys[i] = key
             tags[i] = tag
-            counts[tag] += 1
             self._occupancy += 1
             return
 
         # both candidate buckets full of live cells: random-walk eviction;
         # the carried element enters a bucket on a known side and swaps
         # with a random victim, which then walks to its other side. One
-        # 64-bit draw picks the side (bit 0) and 31 victims (two bits each).
-        # A kick only moves tags between cells, so the per-tag counts
-        # change once, when the walk ends
+        # 64-bit draw picks the side (bit 0) and 31 victims (two bits each)
         next64 = self._walk.next64
         mult1, mult2, inv1, inv2 = self._mult1, self._mult2, self._inv1, self._inv2
         mix = self._mix
@@ -392,7 +387,6 @@ class Dictionary:
                 continue
             keys[i] = cur_key
             tags[i] = cur_tag
-            counts[tag] += 1
             self._occupancy += 1
             self.last_op_cells = touched
             self.last_op_kicks = kick
@@ -400,9 +394,6 @@ class Dictionary:
                 self.max_kick_chain = kick
             return
 
-        # the new tag entered a cell and the carried element's tag left one
-        counts[tag] += 1
-        counts[cur_tag] -= 1
         self.last_op_cells = touched
         self.last_op_kicks = MAX_KICKS
         self.max_kick_chain = max(self.max_kick_chain, MAX_KICKS)
@@ -418,11 +409,9 @@ class Dictionary:
         tags = self._tags
         freed = 0
         for i in range(start, stop):
-            t = tags[i]
-            if t in stale and self._keys[i] != self._empty:
+            if tags[i] in stale and self._keys[i] != self._empty:
                 self._keys[i] = self._empty
                 tags[i] = 0
-                self._tag_counts[t] -= 1
                 freed += 1
         self._occupancy -= freed
         return freed
@@ -456,8 +445,33 @@ class Dictionary:
         return self._occupancy
 
     def tag_count(self, tag: int) -> int:
-        """Occupied cells currently carrying this tag (stale included)."""
-        return self._tag_counts[tag]
+        """Occupied cells currently carrying this tag (stale included).
+
+        One sweep of the tag plane, on demand; tag 0 also sweeps the key
+        plane, since empty cells carry tag 0 too.
+        """
+        hits = self._tag_plane() == tag
+        if tag == 0:
+            hits &= self._occupied()
+        return int(np.count_nonzero(hits))
+
+    def live_count(self, stale) -> int:
+        """Occupied cells whose tag is not in ``stale``: one sweep of the
+        key and tag planes, on demand."""
+        is_stale = np.zeros(self.tag_range, dtype=bool)
+        is_stale[np.fromiter(stale, dtype=np.intp, count=len(stale))] = True
+        return int(np.count_nonzero(self._occupied() & ~is_stale[self._tag_plane()]))
+
+    def _tag_plane(self) -> np.ndarray:
+        """The tags, one per cell, as a view of the live array."""
+        return np.frombuffer(self._tags, dtype=self._tags.typecode)
+
+    def _occupied(self) -> np.ndarray:
+        """One boolean per cell: True where the cell holds a key."""
+        keys, empty = self._keys, self._empty
+        if isinstance(keys, list):
+            return np.fromiter((k != empty for k in keys), dtype=bool, count=len(keys))
+        return np.frombuffer(keys, dtype=keys.typecode) != empty
 
     @property
     def quotient_bits(self) -> int:
@@ -493,62 +507,46 @@ class Dictionary:
             if key != empty:
                 yield i, self._fingerprint(key, i // BUCKET_SIZE), self._tags[i]
 
-    def check_consistency(self) -> None:
-        """Full-sweep structural audit (tests and debug use only)."""
-        seen: dict[int, int] = {}
-        occupied = 0
-        counts = [0] * len(self._tag_counts)
-        for i, fp, tag in self.entries():
-            occupied += 1
-            counts[tag] += 1
-            if fp in seen:
-                raise AssertionError(f"duplicate fingerprint {fp} in cells {seen[fp]} and {i}")
-            seen[fp] = i
-            b = i // BUCKET_SIZE
-            if b not in self.buckets_for(fp):
-                raise AssertionError(f"cell {i} outside candidate buckets of fp {fp}")
-        if occupied != self._occupancy:
-            raise AssertionError(f"occupancy counter {self._occupancy} != swept {occupied}")
-        if counts != self._tag_counts:
-            raise AssertionError("per-tag counts out of sync with cells")
-
     # -- bulk codec -------------------------------------------------------------
 
-    def to_bytes(self) -> bytes:
-        """The state ``restore`` reads back, little-endian: the placement
-        seed, walk state and scan cursor (u64 each), then the key and tag
-        planes.
+    def to_buffers(self) -> tuple:
+        """The state ``restore`` reads back, little-endian, as three
+        buffers: a header of the placement seed, walk state and scan
+        cursor (u64 each), then the key plane and the tag plane.
 
         Planes hold capacity_cells items of key_width and tag_width
-        bytes, in cell order. Geometry, widths, occupancy and tag counts
-        follow from the constructor arguments and the cells, so they are
-        not written.
+        bytes, in cell order. Geometry, widths and occupancy follow from
+        the constructor arguments and the cells, so they are not written.
+        On a little-endian host a typed plane is a view of the live
+        array, not a copy, so it is valid only until the next update.
         """
         header = _HEADER.pack(self._placement_seed, self._walk.state, self._cursor)
         if isinstance(self._keys, list):
             key_plane = b"".join(k.to_bytes(self._key_width, "little") for k in self._keys)
         else:
             key_plane = _little_endian(self._keys)
-        return header + key_plane + _little_endian(self._tags)
+        return header, key_plane, _little_endian(self._tags)
 
     def restore(self, data) -> None:
-        """Replace the whole state with ``to_bytes`` output, all of ``data``,
-        from a dictionary built with the same constructor arguments.
+        """Replace the whole state with ``to_buffers`` output joined into
+        ``data``, all of it, from a dictionary built with the same
+        constructor arguments.
 
         Raises ValueError, leaving the dictionary unchanged, on a length
         mismatch, a cursor or tag out of range, a quotient above the
         fingerprint range, or a nonzero tag in an empty cell. Structural
-        invariants that need a full decode (no duplicates) are left to
-        ``check_consistency``. The placement tables are drawn again only
-        if the placement seed differs from this dictionary's.
+        invariants that need a full decode (no duplicates, every cell in
+        a candidate bucket of its fingerprint) are not checked. The
+        placement tables are drawn again only if the placement seed
+        differs from this dictionary's.
 
         The planes are checked by counting over whole arrays: keys above
         the largest in-range key must all be empty keys, the largest tag
-        must be below tag_range, and no empty cell may carry a tag; one
-        bincount of all tags, less the empty cells from bin 0, gives the
-        per-tag counts. Only a refusal looks for the offending value.
-        Each plane is then copied once, in place, into the arrays the
-        constructor allocated (keys wider than 64 bits stay a list).
+        must be below tag_range, and no empty cell may carry a tag. The
+        count of empty keys gives the occupancy; per-tag counts are not
+        kept. Only a refusal looks for the offending value. Each plane
+        is then copied once, in place, into the arrays the constructor
+        allocated (keys wider than 64 bits stay a list).
         """
         data = memoryview(data).cast("B")
         cap, key_width, tag_width = self.capacity_cells, self._key_width, self._tag_width
@@ -582,9 +580,6 @@ class Dictionary:
                 raise ValueError(f"tag {live_top} outside [0, {self.tag_range})")
         if np.logical_and(tags, vacant).any():
             raise ValueError("nonzero tag in an empty cell")
-        # every tag is now below tag_range, and every empty cell's tag is 0
-        counts = np.bincount(tags, minlength=self.tag_range)
-        counts[0] -= vacancies
 
         if placement_seed != self._placement_seed:
             self._placement_seed = placement_seed
@@ -597,14 +592,15 @@ class Dictionary:
             _copy_little_endian(self._keys, key_plane)
         _copy_little_endian(self._tags, tag_plane)
         self._occupancy = cap - vacancies
-        self._tag_counts = counts.tolist()
 
 
-def _little_endian(items: array) -> bytes:
+def _little_endian(items: array) -> memoryview:
+    """The items' bytes in little-endian order: a view of the array on a
+    little-endian host, of a byteswapped copy on a big-endian one."""
     if sys.byteorder == "big":
         items = array(items.typecode, items)
         items.byteswap()
-    return items.tobytes()
+    return memoryview(items).cast("B")
 
 
 def _copy_little_endian(items: array, plane) -> None:

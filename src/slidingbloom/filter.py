@@ -168,7 +168,7 @@ class SlidingFilter:
 
         ``steps`` is the stream position, from which the generation
         position, boundary count and label follow; ``cells`` is the
-        dictionary state (``Dictionary.to_bytes`` output). Raises
+        dictionary state (``Dictionary.to_buffers`` output, joined). Raises
         ValueError, before anything changes, if the cells do not fit
         this filter's dictionary.
         """
@@ -303,10 +303,8 @@ class SlidingFilter:
         return tag not in self._stale
 
     def active_count(self) -> int:
-        """Stored fingerprints whose tag is currently active."""
-        d = self._dict
-        return sum(d.tag_count(t) for t in range(self.params.gen_modulus)
-                   if self.is_active_tag(t))
+        """Stored fingerprints whose tag is currently active (one sweep of the cells)."""
+        return self._dict.live_count(self._stale)
 
     def active_fingerprints(self):
         """Yield every stored fingerprint with an active tag (debug/census)."""

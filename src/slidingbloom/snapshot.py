@@ -21,7 +21,7 @@ integers little-endian, fixed widths):
     tag_bits           u8
     steps              u64   (elements inserted so far)
     rebuilds           u64
-    dictionary         the rest up to the trailer: ``Dictionary.to_bytes``
+    dictionary         the rest up to the trailer: ``Dictionary.to_buffers``
                        (placement_seed u64, walk_state u64, cursor u64,
                         then capacity_cells keys of key_width bytes and
                         capacity_cells tags of tag_width bytes)
@@ -30,20 +30,26 @@ integers little-endian, fixed widths):
 Loading builds the filter through its constructor, which derives the
 hash, the scan width and the dictionary's geometry and cell widths, then
 resumes it at ``steps`` (generation position, boundary count and label
-follow) with the stored dictionary state (occupancy and per-tag counts
-follow from the cells). The dictionary is constructed for the stored
-rebuild count, whose seed label gives the placement seed a saved filter
-stores, so a filter that rebuilt draws its placement tables once; a
-stored placement seed that differs is still honoured, by drawing them
-again. The blob is read through memoryviews: the checksummed body and
-the cells are not copied. The key and tag planes are range-checked
-with whole-array counts and copied once, in place, into the arrays the
-constructor allocated. A key is 2q + side - 1, q being the in-bucket
-quotient of the fingerprint; together with the cell's position it
-reconstructs the fingerprint exactly, so a round trip is bit-exact and
-the reloaded filter continues the stream identically (instrumentation
-counters start fresh). An all-ones key marks an empty cell, whose tag
-is 0.
+follow) with the stored dictionary state (the occupancy follows from the
+cells; no per-tag counts are kept). The dictionary is constructed for
+the stored rebuild count, whose seed label gives the placement seed a
+saved filter stores, so a filter that rebuilt draws its placement
+tables once; a stored placement seed that differs is still honoured,
+by drawing them again. The blob is read through memoryviews: the
+checksummed body and the cells are not copied. The key and tag planes
+are range-checked with whole-array counts and copied once, in place,
+into the arrays the constructor allocated. A key is 2q + side - 1, q
+being the in-bucket quotient of the fingerprint; together with the
+cell's position it reconstructs the fingerprint exactly, so a round
+trip is bit-exact and the reloaded filter continues the stream
+identically (instrumentation counters start fresh). An all-ones key
+marks an empty cell, whose tag is 0.
+
+Saving writes three buffers and the trailer, with a running CRC32: the
+fields up to the cells, the key plane and the tag plane. On a
+little-endian host the planes are views of the live arrays, so a save
+copies no cells. Every check runs before the first write, so a refused
+save writes nothing.
 
 Loading checks the magic, the version, the length and the trailer,
 then every stored field: mode 0 and flags in range, m = 0 when the slack
@@ -59,7 +65,6 @@ with another modulus.
 
 from __future__ import annotations
 
-import io
 import struct
 import zlib
 
@@ -100,7 +105,11 @@ class _Reader:
         return self._data[self._pos:]
 
 
-def _encode(f: SlidingFilter) -> bytes:
+def _encode(f: SlidingFilter) -> tuple:
+    """The snapshot up to its trailer, as three buffers: every field up to
+    the dictionary's cells, the key plane and the tag plane (views of the
+    live cells on a little-endian host). Raises before anything is written.
+    """
     p = f.params
     if p.u > _U128_MAX or p.fp_range > _U128_MAX:
         raise SnapshotError("parameters exceed the 128-bit snapshot field width")
@@ -108,28 +117,29 @@ def _encode(f: SlidingFilter) -> bytes:
         raise SnapshotError(f"stream position {f.steps} or rebuild count {f.rebuilds} "
                             f"exceeds the 64-bit snapshot field width")
 
-    out = io.BytesIO()
-    out.write(MAGIC)
-    out.write(_u(VERSION, 2))
-    out.write(_u(0, 1))  # mode byte
+    dict_header, key_plane, tag_plane = f.dictionary.to_buffers()
     infinite = p.m == INFINITE
-    out.write(_u(1 if infinite else 0, 1))
-    out.write(_u(p.n, 8))
-    out.write(_u(0 if infinite else p.m, 8))
-    out.write(struct.pack("<d", p.epsilon))
-    out.write(_u(p.u, 16))
-    out.write(_u(f.seed, 8))
-    out.write(_u(p.c, 8))
-    out.write(_u(p.g, 8))
-    out.write(_u(p.n_prime, 8))
-    out.write(_u(p.fp_range, 16))
-    out.write(_u(p.gen_modulus, 8))
-    out.write(_u(p.tag_bits, 1))
-    out.write(_u(f.steps, 8))
-    out.write(_u(f.rebuilds, 8))
-    out.write(f.dictionary.to_bytes())
-    out.write(_CRC.pack(zlib.crc32(out.getbuffer())))
-    return out.getvalue()
+    header = b"".join((
+        MAGIC,
+        _u(VERSION, 2),
+        _u(0, 1),  # mode byte
+        _u(1 if infinite else 0, 1),
+        _u(p.n, 8),
+        _u(0 if infinite else p.m, 8),
+        struct.pack("<d", p.epsilon),
+        _u(p.u, 16),
+        _u(f.seed, 8),
+        _u(p.c, 8),
+        _u(p.g, 8),
+        _u(p.n_prime, 8),
+        _u(p.fp_range, 16),
+        _u(p.gen_modulus, 8),
+        _u(p.tag_bits, 1),
+        _u(f.steps, 8),
+        _u(f.rebuilds, 8),
+        dict_header,
+    ))
+    return header, key_plane, tag_plane
 
 
 def _decode(data: bytes) -> SlidingFilter:
@@ -192,13 +202,27 @@ def _decode(data: bytes) -> SlidingFilter:
 
 
 def save_filter(f: SlidingFilter, target) -> None:
-    """Write a snapshot to a binary file object or a filesystem path."""
-    blob = _encode(f)
+    """Write a snapshot to a binary file object or a filesystem path.
+
+    The header and the two cell planes are written as they are, with a
+    running CRC32, and the trailer after them; the planes are not copied
+    on a little-endian host. A refused save writes nothing (and opens no
+    file).
+    """
+    parts = _encode(f)
     if hasattr(target, "write"):
-        target.write(blob)
+        _write(parts, target)
     else:
         with open(target, "wb") as fh:
-            fh.write(blob)
+            _write(parts, fh)
+
+
+def _write(parts, out) -> None:
+    crc = 0
+    for part in parts:
+        out.write(part)
+        crc = zlib.crc32(part, crc)
+    out.write(_CRC.pack(crc))
 
 
 def load_filter(source) -> SlidingFilter:

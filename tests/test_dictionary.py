@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 from slidingbloom import BUCKET_SIZE, Dictionary, InsertOverflow, dictionary, never_stale
 from slidingbloom.prng import SplitMix64, derive_seed, splitmix64_block
 
+from cell_audit import check_consistency
+
 
 def make(cap=100, fp_range=100_000, tag_bits=4, seed=0, **kw):
     return Dictionary(element_capacity=cap, fp_range=fp_range, tag_bits=tag_bits,
@@ -41,7 +43,7 @@ def test_insert_member_update_delete():
     assert d.member(42, never_stale) is None
     assert d.scan_step(d.capacity_cells, {7}) == 0
     assert d.occupancy() == 0
-    d.check_consistency()
+    check_consistency(d)
 
 
 def test_update_with_the_same_tag_keeps_the_counts():
@@ -49,7 +51,7 @@ def test_update_with_the_same_tag_keeps_the_counts():
     d.insert_or_update(42, 3, never_stale)
     d.insert_or_update(42, 3, never_stale)
     assert d.tag_count(3) == 1 and d.occupancy() == 1
-    d.check_consistency()
+    check_consistency(d)
 
 
 def test_match_in_bucket_2_is_updated_in_place():
@@ -70,7 +72,7 @@ def test_match_in_bucket_2_is_updated_in_place():
     d.insert_or_update(fp, 3, never_stale)
     assert d.occupancy() == 1 and d.tag_count(3) == 1
     assert [(i, f) for i, f, _t in d.entries()] == [(cell, fp)]
-    d.check_consistency()
+    check_consistency(d)
 
 
 def test_scan_frees_a_stale_cell_beside_an_empty_one_while_0_is_stale():
@@ -84,7 +86,7 @@ def test_scan_frees_a_stale_cell_beside_an_empty_one_while_0_is_stale():
     assert d.scan_step(2, {0}) == 1
     assert d.occupancy() == 0 and d.tag_count(0) == 0
     assert d.scan_step(2, {0}) == 0 and d.occupancy() == 0
-    d.check_consistency()
+    check_consistency(d)
 
 
 def test_member_is_read_only_on_stale_hits():
@@ -101,7 +103,7 @@ def test_stale_on_update_sets_fresh_tag():
     d.insert_or_update(7, 5, {2})  # old tag stale at update time
     assert d.member(7, never_stale) == 5
     assert d.occupancy() == 1
-    d.check_consistency()
+    check_consistency(d)
 
 
 def test_fill_to_load_target_many_seeds():
@@ -118,7 +120,7 @@ def test_fill_to_load_target_many_seeds():
             seen.add(fp)
             d.insert_or_update(fp, 1, never_stale)
         assert d.occupancy() == 500
-    d.check_consistency()
+    check_consistency(d)
 
 
 def test_scan_step_fresh_and_stale():
@@ -151,7 +153,7 @@ def test_scan_full_pass_reclaims_every_stale_cell():
     for _ in range(-(-d.capacity_cells // 2)):
         freed += d.scan_step(2, stale_tags)
     assert freed == expected
-    d.check_consistency()
+    check_consistency(d)
 
 
 def test_scan_cursor_wraps_and_counts_touched():
@@ -210,7 +212,7 @@ def test_stale_cells_never_block_insert():
     assert d.last_op_kicks == 0
     assert d.last_op_cells == 2 * BUCKET_SIZE
     assert d.member(target, never_stale) == 1
-    d.check_consistency()
+    check_consistency(d)
 
 
 def test_insert_overflow_surfaces():
@@ -274,7 +276,7 @@ def test_random_op_sequences_keep_invariants(ops):
         else:
             got = d.member(fp, never_stale)
             assert got == live.get(fp)
-    d.check_consistency()
+    check_consistency(d)
     assert d.occupancy() == len(live)
     assert {f for _i, f, _t in d.entries()} == set(live)
 
@@ -329,7 +331,7 @@ def test_insert_overflow_carries_the_homeless_element(monkeypatch):
     stored[homeless.fp] = homeless.tag
     assert set(stored) == set(inserted)
     assert all(stored[fp] == (i + 1) % 7 for i, fp in enumerate(inserted))
-    d.check_consistency()  # per-tag counts after the overflow
+    check_consistency(d)  # occupancy after the overflow
 
 
 def wide_dictionary():
@@ -349,7 +351,7 @@ def test_wide_quotients_use_exact_keys():
     d.scan_step(d.capacity_cells, {0})
     expired = set(sorted(fps)[::20])
     assert all((d.member(fp, never_stale) is None) == (fp in expired) for fp in fps)
-    d.check_consistency()
+    check_consistency(d)
 
 
 def filled(fp_range=10**7, seed=5):
@@ -361,21 +363,26 @@ def filled(fp_range=10**7, seed=5):
     return d
 
 
+def saved(d):
+    """The dictionary's state as one blob, as a snapshot stores it."""
+    return b"".join(d.to_buffers())
+
+
 @pytest.mark.parametrize("fp_range", [10**3, 10**7, 10**12, 2**80])
 def test_codec_roundtrip(fp_range):
     # restored into a dictionary built from other seeds: the stored
     # placement seed and walk state win
     d = filled(fp_range)
-    blob = d.to_bytes()
+    blob = saved(d)
     e = make(cap=300, fp_range=fp_range, tag_bits=5, seed=99)
     e.restore(blob)
-    assert e.to_bytes() == blob
+    assert saved(e) == blob
     assert list(e.entries()) == list(d.entries())
     assert e._cursor == d._cursor and e._walk.state == d._walk.state
     assert e.occupancy() == d.occupancy()
     assert [e.tag_count(t) for t in range(e.tag_range)] == \
         [d.tag_count(t) for t in range(d.tag_range)]
-    e.check_consistency()
+    check_consistency(e)
 
 
 def _cell_planes(d):
@@ -391,7 +398,7 @@ def test_codec_range_checks():
 
 def codec_range_checks(fp_range):
     d = filled(fp_range)
-    blob = d.to_bytes()
+    blob = saved(d)
     keys_at, tags_at = _cell_planes(d)
     occupied = next(i for i, _fp, _t in d.entries())
     free = next(i for i in range(d.capacity_cells) if d._keys[i] == d._empty)
@@ -410,7 +417,7 @@ def codec_range_checks(fp_range):
         "out-of-range tag in an empty cell": patched(tags_at + free * tw, d.tag_range, tw),
     }
     target = make(cap=300, fp_range=fp_range, tag_bits=5, seed=5)
-    before = target.to_bytes()
+    before = saved(target)
     for what, data in bad.items():
         with pytest.raises(ValueError, match=what.split()[-1]):
             target.restore(data)
@@ -419,4 +426,4 @@ def codec_range_checks(fp_range):
             target.restore(blob[:cut])
     with pytest.raises(ValueError):  # another geometry: the planes have another length
         make(cap=400, fp_range=fp_range, tag_bits=5, seed=5).restore(blob)
-    assert target.to_bytes() == before  # a refused restore changes nothing
+    assert saved(target) == before  # a refused restore changes nothing

@@ -3,6 +3,7 @@ import io
 import math
 import sys
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -19,6 +20,7 @@ from slidingbloom import (
 )
 from slidingbloom.prng import SplitMix64
 
+from cell_audit import check_consistency
 from reference_model import CRITERION_6_CONFIGS, sweep_mismatches
 from stream_patterns import all_same, burst_edges, distinct, random_pool, round_robin
 
@@ -119,7 +121,7 @@ def test_no_false_negatives_vs_oracle(pattern, m):
         if t % 23 == 0 or t == len(stream) - 1:
             for w in o.window_distinct():
                 assert f.query(w), (pattern, m, t, w)
-    f.dictionary.check_consistency()
+    check_consistency(f.dictionary)
 
 
 def test_all_duplicates_keep_single_active_cell():
@@ -193,7 +195,7 @@ def test_label_reuse_safety_degenerate(n, m, eps, u):
     rng = SplitMix64(5)
     for _ in range(20_000):
         f.insert(rng.below(min(u, 4 * n + 8)))
-    f.dictionary.check_consistency()
+    check_consistency(f.dictionary)
 
 
 def test_scan_width_normally_two():
@@ -256,7 +258,7 @@ def test_overflow_recovery_keeps_every_window_element(monkeypatch):
                 seen = f.rebuilds
                 missed = [w for w in o.window_distinct() if not f.query(w)]
                 assert not missed, (seed, t, len(missed))
-        f.dictionary.check_consistency()
+        check_consistency(f.dictionary)
         rebuilds += f.rebuilds
     assert rebuilds >= 6
 
@@ -270,10 +272,61 @@ def test_unrecoverable_overflow_refuses_further_use(monkeypatch):
         for t in range(20_000):
             f.insert(t * 1000003 + 7)
     assert t == 2191 and isinstance(info.value, InsertOverflow)
+    target = io.BytesIO()
     for use in (lambda: f.insert(t * 1000003 + 7), lambda: f.query(7),
-                lambda: f.save(io.BytesIO())):
+                lambda: f.save(target)):
         with pytest.raises(UnrecoverableOverflow):
             use()
+    assert target.getvalue() == b""  # refused before the first write
+
+
+def assert_counts_match_cells(f):
+    """tag_count for every tag, occupancy and active_count against a
+    sweep of entries(); returns the swept per-tag counts."""
+    d = f.dictionary
+    swept = Counter(tag for _i, _fp, tag in d.entries())
+    assert [d.tag_count(t) for t in range(d.tag_range)] == [swept[t] for t in range(d.tag_range)]
+    assert d.occupancy() == sum(swept.values())
+    assert f.active_count() == sum(k for t, k in swept.items() if f.is_active_tag(t))
+    return swept
+
+
+def test_on_demand_counts_match_a_sweep_of_the_cells(monkeypatch):
+    # the counts are sweeps of the cell planes; tag 0 is the case a plain
+    # count of the tags gets wrong, since every empty cell carries tag 0
+    f = SlidingFilter.create(500, 500, 2**-8, seed=4)
+    rng = SplitMix64(8)
+    stream = []
+    fresh = zero_beside_empty = 0
+    for t in range(6000):
+        # every third element repeats one of the last 500: an update in place
+        if t % 3 == 2:
+            x = stream[-1 - rng.below(min(len(stream), 500))]
+        else:
+            x = rng.below(2**63)
+            fresh += 1
+        stream.append(x)
+        f.insert(x)
+        if t % 50 == 49:
+            swept = assert_counts_match_cells(f)
+            d = f.dictionary
+            zero_beside_empty += swept[0] > 0 and d.occupancy() < d.capacity_cells
+    assert zero_beside_empty > 0
+    assert f.dictionary.max_kick_chain > 0
+    # more distinct elements than cells, so cells were reclaimed, and
+    # every label was reused
+    assert fresh > f.dictionary.capacity_cells
+    assert f.boundaries > 2 * f.params.gen_modulus
+
+    # a forced rebuild, then a save/load round trip of the rebuilt filter
+    monkeypatch.setattr(dictionary, "MAX_KICKS", 30)
+    f = SlidingFilter.create(2000, 2000, 2**-8, seed=0)
+    rng = SplitMix64(100)
+    while f.rebuilds == 0:
+        f.insert(rng.below(2**63))
+    swept = assert_counts_match_cells(f)
+    g = SlidingFilter.load(io.BytesIO(_snapshot(f)))
+    assert assert_counts_match_cells(g) == swept
 
 
 @pytest.mark.parametrize("bad", [True, False, 1.5, 2.0, "7", None, 10**20 + 0.5])
@@ -336,7 +389,7 @@ def test_widest_quotients_round_trip():
     g = SlidingFilter.load(io.BytesIO(_snapshot(f)))
     assert _snapshot(g) == _snapshot(f)
     assert all(g.query(x) for x in xs[-1000:])
-    g.dictionary.check_consistency()
+    check_consistency(g.dictionary)
 
 
 def _snapshot(f):

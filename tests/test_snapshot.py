@@ -17,6 +17,7 @@ from slidingbloom import (
 )
 from slidingbloom.prng import SplitMix64
 
+from cell_audit import check_consistency
 from stream_patterns import random_pool
 
 
@@ -178,12 +179,19 @@ def test_generation_derived_from_steps():
         assert all(h.query(x) for x in range(2 * g))
 
 
-def test_steps_beyond_u64_refused_on_save():
+def test_steps_beyond_u64_refused_on_save(tmp_path):
     f = load_filter(resealed(roundtrip(busy_filter()), STEPS, 2**64 - 1, 8))
     f.insert(1)
     assert f.steps == 2**64
+    # refused before the first write: nothing reaches the target
+    target = io.BytesIO()
     with pytest.raises(SnapshotError, match="64-bit"):
-        roundtrip(f)
+        save_filter(f, target)
+    assert target.getvalue() == b""
+    path = tmp_path / "refused.snap"
+    with pytest.raises(SnapshotError, match="64-bit"):
+        save_filter(f, path)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
@@ -250,7 +258,7 @@ def test_rebuilt_filter_roundtrip(monkeypatch):
     blob = roundtrip(f)
     g = load_filter(blob)
     assert g.rebuilds == f.rebuilds and roundtrip(g) == blob
-    g.dictionary.check_consistency()
+    check_consistency(g.dictionary)
     for _ in range(3000):
         x = rng.below(2**63)
         f.insert(x)
@@ -291,7 +299,7 @@ def test_golden_v3_blobs(name):
     f = load_filter(blob)
     assert (f.steps, f.rebuilds) == (meta["steps"], meta["rebuilds"])
     assert "".join("1" if f.query(x) else "0" for x in meta["probes"]) == meta["answers"]
-    f.dictionary.check_consistency()
+    check_consistency(f.dictionary)
     assert roundtrip(f) == blob
 
 
