@@ -12,23 +12,12 @@ from .dictionary import BUCKET_SIZE, MAX_KICKS, Dictionary, InsertOverflow, neve
 from .filter import (
     DEFAULT_UNIVERSE,
     CostReport,
-    LabelReuseViolation,
     SlidingFilter,
     SpaceReport,
     UnrecoverableOverflow,
 )
-from .harness import (
-    FpCensus,
-    FprReport,
-    PassReport,
-    SpaceVsBounds,
-    census_false_positives,
-    measure_fpr,
-    space_report,
-    stress_label_safety,
-)
+from .harness import FprReport, SpaceVsBounds, measure_fpr, space_report
 from .hashing import UniversalHash, is_prime, new_hash, next_prime
-from .oracle import Region, WindowOracle
 from .params import (
     INFINITE,
     FilterParams,
@@ -47,23 +36,17 @@ __all__ = [
     "DEFAULT_UNIVERSE",
     "Dictionary",
     "FilterParams",
-    "FpCensus",
     "FprReport",
     "INFINITE",
     "InsertOverflow",
     "InvalidParams",
-    "LabelReuseViolation",
     "MAX_KICKS",
-    "PassReport",
-    "Region",
     "SlidingFilter",
     "SnapshotError",
     "SpaceReport",
     "SpaceVsBounds",
     "UniversalHash",
     "UnrecoverableOverflow",
-    "WindowOracle",
-    "census_false_positives",
     "derive",
     "is_prime",
     "load_filter",
@@ -74,6 +57,5 @@ __all__ = [
     "next_prime",
     "save_filter",
     "space_report",
-    "stress_label_safety",
     "upper_bound_bits",
 ]

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: dedup (flag repeats in a stream), fpr, space, bench.
+Subcommands: dedup (flag repeats in a stream), fpr, space.
 Text is read and echoed as UTF-8, whatever the locale; its tokens are
 pre-hashed to 64-bit integers with FNV-1a of their UTF-8 bytes
 (plumbing, unrelated to the filter's internal universal hash). Binary
@@ -37,14 +37,14 @@ def _parse_slack(text: str):
     return int(text)
 
 
-def _add_filter_args(sub, need_seed_default=0):
+def _add_filter_args(sub):
     sub.add_argument("-n", "--window", type=int, required=True,
                      help="window size n")
     sub.add_argument("-m", "--slack", type=_parse_slack, default=INFINITE,
                      help="slackness m, or 'inf' (default)")
     sub.add_argument("-e", "--epsilon", type=float, required=True,
                      help="false-positive bound in (0,1)")
-    sub.add_argument("--seed", type=int, default=need_seed_default,
+    sub.add_argument("--seed", type=int, default=0,
                      help="master seed (default %(default)s)")
 
 
@@ -174,8 +174,10 @@ def _run_dedup(args) -> int:
 
 
 def _run_fpr(args) -> int:
-    m_fin = 0 if args.slack == INFINITE else args.slack
-    stream_len = args.stream_len or 2 * (args.window + m_fin) + 20
+    stream_len = args.stream_len
+    if stream_len is None:
+        m_fin = 0 if args.slack == INFINITE else args.slack
+        stream_len = 2 * (args.window + m_fin) + 20
     try:
         report = measure_fpr(args.window, args.slack, args.epsilon,
                              stream_len=stream_len, trials=args.trials,
@@ -201,41 +203,6 @@ def _run_space(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     _emit_json(report.to_dict(), sys.stdout)
-    return EXIT_OK
-
-
-def _run_bench(args) -> int:
-    try:
-        params = derive(args.window, args.slack, args.epsilon, DEFAULT_UNIVERSE)
-    except InvalidParams as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    import time
-
-    runs = []
-    for k in range(args.seeds):
-        seed = args.seed + k
-        filt = SlidingFilter(params, seed)
-        start = time.perf_counter()
-        try:
-            for x in range(args.ops):
-                filt.insert(x)
-        except InsertOverflow as exc:
-            print(f"error: insert overflow at seed {seed}: {exc}", file=sys.stderr)
-            return EXIT_OVERFLOW
-        elapsed = time.perf_counter() - start
-        cost = filt.step_cost_stats()
-        runs.append({
-            "seed": seed,
-            "ops": args.ops,
-            "seconds": round(elapsed, 6),
-            "inserts_per_sec": round(args.ops / elapsed, 1) if elapsed else None,
-            "insert_cells_max": cost.insert_cells_max,
-            "insert_cells_mean": round(cost.insert_cells_mean, 3),
-            "max_kick_chain": cost.max_kick_chain,
-        })
-    _emit_json({"schema": "slidingbloom.bench/1", "runs": runs}, sys.stdout)
     return EXIT_OK
 
 
@@ -270,13 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_filter_args(space)
     space.set_defaults(func=_run_space)
 
-    bench = subs.add_parser("bench", help="insert throughput and touched-cell stats")
-    _add_filter_args(bench)
-    bench.add_argument("--ops", type=int, default=100_000,
-                       help="inserts per run (default %(default)s)")
-    bench.add_argument("--seeds", type=int, default=1,
-                       help="number of consecutive seeds to run (default 1)")
-    bench.set_defaults(func=_run_bench)
     return parser
 
 

@@ -65,10 +65,6 @@ class _Unusable:
         raise UnrecoverableOverflow(str(error), error.fp, error.tag)
 
 
-class LabelReuseViolation(AssertionError):
-    """Debug hook: a generation label was reused while cells still carried it."""
-
-
 @dataclass(frozen=True)
 class SpaceReport:
     """Notional bit footprint of a filter, itemized."""
@@ -101,16 +97,15 @@ class CostReport:
 class SlidingFilter:
     """Approximate membership over the last n stream elements."""
 
-    def __init__(self, params: FilterParams, seed: int, debug: bool = False):
+    def __init__(self, params: FilterParams, seed: int):
         """Build an empty filter.
 
         ``params`` must pass ``FilterParams.validate`` (``create`` derives
         them from n, m, epsilon and u). The fingerprint hash, the
         dictionary's placement and its cuckoo walk all derive from
-        ``seed``, which is taken modulo 2**64. ``debug`` turns on the
-        label-reuse and active-count checks at generation boundaries.
+        ``seed``, which is taken modulo 2**64.
         """
-        self._build(params, seed, debug, rebuilds=0)
+        self._build(params, seed, rebuilds=0)
 
     @classmethod
     def _rebuilt(cls, params: FilterParams, seed: int, rebuilds: int) -> "SlidingFilter":
@@ -118,14 +113,13 @@ class SlidingFilter:
         number ``rebuilds``, so a snapshot of a filter that rebuilt
         restores into it without drawing the placement tables twice."""
         f = cls.__new__(cls)
-        f._build(params, seed, False, rebuilds)
+        f._build(params, seed, rebuilds)
         return f
 
-    def _build(self, params: FilterParams, seed: int, debug: bool, rebuilds: int) -> None:
+    def _build(self, params: FilterParams, seed: int, rebuilds: int) -> None:
         params.validate()
         self.params = params
         self.seed = seed & MASK64
-        self.debug = debug
 
         self.hash: UniversalHash = new_hash(
             params.u, params.fp_range, derive_seed(seed, "fingerprint")
@@ -188,8 +182,8 @@ class SlidingFilter:
 
     @classmethod
     def create(cls, n: int, m, epsilon: float, u: int = DEFAULT_UNIVERSE,
-               seed: int = 0, debug: bool = False) -> "SlidingFilter":
-        return cls(derive(n, m, epsilon, u), seed, debug=debug)
+               seed: int = 0) -> "SlidingFilter":
+        return cls(derive(n, m, epsilon, u), seed)
 
     # -- stream interface ----------------------------------------------------
 
@@ -273,15 +267,6 @@ class SlidingFilter:
         stale = self._stale
         stale.discard(label)
         stale.add((label - self.params.c - 1) % g_mod)
-        if self.debug and self._dict.tag_count(label):
-            raise LabelReuseViolation(
-                f"label {label} reused with {self._dict.tag_count(label)} cells still tagged"
-            )
-        if self.debug and self.boundaries % 97 == 1:
-            active = self.active_count()
-            limit = (self.params.c + 1) * self.params.g
-            if active > limit:
-                raise AssertionError(f"active count {active} exceeds {limit}")
 
     def query(self, x: int) -> bool:
         """True iff x is reported in the window. Never false for window elements."""
@@ -299,18 +284,9 @@ class SlidingFilter:
 
     # -- introspection ---------------------------------------------------------
 
-    def is_active_tag(self, tag: int) -> bool:
-        return tag not in self._stale
-
     def active_count(self) -> int:
         """Stored fingerprints whose tag is currently active (one sweep of the cells)."""
         return self._dict.live_count(self._stale)
-
-    def active_fingerprints(self):
-        """Yield every stored fingerprint with an active tag (debug/census)."""
-        for _idx, fp, tag in self._dict.entries():
-            if self.is_active_tag(tag):
-                yield fp
 
     def bits_used(self) -> SpaceReport:
         dict_report = self._dict.bits_used()

@@ -1,33 +1,23 @@
 """Measurement and statistical validation drivers.
 
-Four entry points, each reproducible from its arguments alone:
+Two entry points, each reproducible from its arguments alone:
 
-* measure_fpr       - Monte Carlo false-positive rate against the
-                      epsilon + 3 sigma binomial envelope.
-* census_false_positives - exhaustive universe sweep against the
-                      absolute bound eps*u + n' (no statistics; a
-                      single violation is a failure).
-* space_report      - notional bit footprint vs. the leading-term
-                      space bounds.
-* stress_label_safety - long randomized runs with the label-reuse debug
-                      hook armed and per-step no-false-negative checks
-                      against the exact oracle.
+* measure_fpr  - Monte Carlo false-positive rate against the
+                 epsilon + 3 sigma binomial envelope.
+* space_report - notional bit footprint vs. the leading-term space
+                 bounds.
 
-All reports serialize to versioned JSON-compatible dicts for the CLI
+Both reports serialize to versioned JSON-compatible dicts for the CLI
 and CI.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
-
-import numpy as np
+from dataclasses import asdict, dataclass
 
 from .filter import DEFAULT_UNIVERSE, SlidingFilter
-from .hashing import next_prime
-from .oracle import Region, WindowOracle
-from .params import INFINITE, InvalidParams, derive, lower_bound_bits, upper_bound_bits
+from .params import INFINITE, lower_bound_bits, upper_bound_bits
 from .prng import SplitMix64, derive_seed
 
 # estimates with an expected hit count below this are statistically
@@ -67,33 +57,6 @@ class FprReport:
 
 
 @dataclass(frozen=True)
-class CensusCheckpoint:
-    position: int
-    active_count: int
-    false_positives: int
-    passed: bool
-
-
-@dataclass(frozen=True)
-class FpCensus:
-    n: int
-    m: object
-    epsilon: float
-    u: int
-    seed: int
-    bound: float
-    checkpoints: list = field(default_factory=list)
-    max_false_positives: int = 0
-    passed: bool = True
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["m"] = _m_json(d["m"])
-        d["schema"] = "slidingbloom.census/1"
-        return d
-
-
-@dataclass(frozen=True)
 class SpaceVsBounds:
     n: int
     m: object
@@ -116,28 +79,6 @@ class SpaceVsBounds:
         d = asdict(self)
         d["m"] = _m_json(d["m"])
         d["schema"] = "slidingbloom.space/1"
-        return d
-
-
-@dataclass(frozen=True)
-class PassReport:
-    n: int
-    m: object
-    epsilon: float
-    seed: int
-    steps: int
-    boundaries: int
-    label_violations: int
-    fn_checks: int
-    fn_failures: int
-    max_active: int
-    active_limit: int
-    passed: bool
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["m"] = _m_json(d["m"])
-        d["schema"] = "slidingbloom.stress/1"
         return d
 
 
@@ -198,75 +139,6 @@ def measure_fpr(n: int, m, epsilon: float, stream_len: int, trials: int,
     )
 
 
-def census_false_positives(n: int, m, epsilon: float, seed: int,
-                           u: int = 10007) -> FpCensus:
-    """Exhaustively count false positives over the whole universe.
-
-    u is raised to the next prime so that the hash modulus equals the
-    universe size, which makes the bin-balance argument exact and the
-    eps*u + n' bound absolute. Inserts n distinct elements and sweeps
-    the full universe at generation-boundary, mid-generation and
-    end-of-stream checkpoints.
-    """
-    p = next_prime(u)
-    if p > 2_000_000:
-        raise ValueError("census universe limited to ~2e6 for exhaustive sweeps")
-    params = derive(n, m, epsilon, p)
-    if params.fp_range > p:
-        raise InvalidParams(
-            f"census needs fp_range <= u so that the hash modulus equals u; "
-            f"got fp_range={params.fp_range}, u={p} (raise epsilon or u)"
-        )
-    filt = SlidingFilter(params, seed)
-    if filt.hash.p != p:
-        raise AssertionError("hash modulus drifted from the census universe")
-
-    g = params.g
-    marks = sorted({min(g, n), min(g + (g + 1) // 2, n), (n + 1) // 2, n})
-    bound = epsilon * p + params.n_prime
-
-    xs = np.arange(p, dtype=np.int64)
-    all_fps = (filt.hash.a * xs) % p % params.fp_range
-
-    checkpoints = []
-    max_fp = 0
-    rng = SplitMix64(derive_seed(seed, "census-spotcheck"))
-    done = 0
-    for t in range(1, n + 1):
-        filt.insert(t - 1)
-        if t == marks[done]:
-            active = np.fromiter(filt.active_fingerprints(), dtype=np.int64)
-            if len(active):
-                active.sort()
-                idx = np.searchsorted(active, all_fps)
-                idx[idx == len(active)] = len(active) - 1
-                yes_mask = active[idx] == all_fps
-            else:
-                yes_mask = np.zeros(p, dtype=bool)
-            # elements 0..t-1 are the stream; everything else is out of scope
-            false_pos = int(yes_mask.sum()) - int(yes_mask[:t].sum())
-            for _ in range(200):
-                x = rng.below(p)
-                if bool(yes_mask[x]) != filt.query(x):
-                    raise AssertionError(f"census sweep disagrees with query({x})")
-            checkpoints.append(CensusCheckpoint(
-                position=t,
-                active_count=filt.active_count(),
-                false_positives=false_pos,
-                passed=false_pos <= bound,
-            ))
-            max_fp = max(max_fp, false_pos)
-            done += 1
-            if done == len(marks):
-                break
-
-    return FpCensus(
-        n=n, m=m, epsilon=float(epsilon), u=p, seed=seed, bound=bound,
-        checkpoints=checkpoints, max_false_positives=max_fp,
-        passed=all(cp.passed for cp in checkpoints),
-    )
-
-
 def space_report(n: int, m, epsilon: float, seed: int,
                  u: int = DEFAULT_UNIVERSE) -> SpaceVsBounds:
     """Measured bit footprint against the leading-term bounds."""
@@ -285,55 +157,4 @@ def space_report(n: int, m, epsilon: float, seed: int,
         dictionary_bits=space.dictionary_bits,
         cell_bits=space.dictionary.cell_bits,
         capacity_cells=space.dictionary.capacity_cells,
-    )
-
-
-def stress_label_safety(n: int, m, epsilon: float, steps: int, seed: int,
-                        u: int = DEFAULT_UNIVERSE, probes_per_step: int = 2) -> PassReport:
-    """Drive a debug-mode filter hard and cross-check it against the oracle.
-
-    Duplicate-heavy stream (values drawn from a pool of ~2n), with the
-    label-reuse assertion armed at every generation boundary and
-    probes_per_step in-window probes verified per step.
-    """
-    filt = SlidingFilter.create(n, m, epsilon, u=u, seed=seed, debug=True)
-    oracle = WindowOracle(n, m)
-    rng = SplitMix64(derive_seed(seed, "stress-stream"))
-    pool = max(2 * n, 8)
-    history = []
-
-    label_violations = 0
-    fn_checks = 0
-    fn_failures = 0
-    max_active = 0
-    active_limit = (filt.params.c + 1) * filt.params.g
-
-    for t in range(steps):
-        x = rng.below(pool)
-        try:
-            filt.insert(x)
-        except AssertionError:
-            label_violations += 1
-            break
-        oracle.push(x)
-        history.append(x)
-        window = min(len(history), n)
-        for _ in range(probes_per_step):
-            probe = history[len(history) - 1 - rng.below(window)]
-            if oracle.classify(probe) is not Region.WINDOW:
-                raise AssertionError("stress probe fell outside the oracle window")
-            fn_checks += 1
-            if not filt.query(probe):
-                fn_failures += 1
-        if t % 1000 == 0:
-            max_active = max(max_active, filt.active_count())
-
-    max_active = max(max_active, filt.active_count())
-    return PassReport(
-        n=n, m=m, epsilon=float(epsilon), seed=seed,
-        steps=steps, boundaries=filt.boundaries,
-        label_violations=label_violations,
-        fn_checks=fn_checks, fn_failures=fn_failures,
-        max_active=max_active, active_limit=active_limit,
-        passed=label_violations == 0 and fn_failures == 0 and max_active <= active_limit,
     )

@@ -14,21 +14,25 @@ import numpy as np
 from slidingbloom import (
     INFINITE,
     SlidingFilter,
-    WindowOracle,
-    census_false_positives,
     derive,
     lower_bound_bits,
     measure_fpr,
     save_filter,
     load_filter,
     space_report,
-    stress_label_safety,
     upper_bound_bits,
 )
 from slidingbloom.prng import SplitMix64
 
+from checked_filter import CheckedFilter
 from reference_model import CRITERION_6_CONFIGS, sweep_mismatches
 from stream_patterns import all_same, burst_edges, random_pool, round_robin
+from validation_drivers import (
+    CRITERION_6_STRESS_CONFIGS,
+    census_false_positives,
+    stress_label_safety,
+)
+from window_oracle import WindowOracle
 
 WORKERS = min(2, os.cpu_count() or 1)
 
@@ -237,19 +241,14 @@ def _stress_task(cfg):
 
 def test_criterion_6_label_safety_and_mode_equivalence():
     t0 = time.perf_counter()
-    extremes = [
-        (1000, 1000, 0.5),   # c = 1
-        (1000, 10, 2**-4),   # c = 100
-        (300, 1, 2**-4),     # g = 1
-    ]
     ok = True
     with ProcessPoolExecutor(WORKERS) as pool:
-        for passed, viol, fn in pool.map(_stress_task, extremes):
+        for passed, viol, fn in pool.map(_stress_task, CRITERION_6_STRESS_CONFIGS):
             ok &= passed and viol == 0 and fn == 0
 
     mismatches = 0
     for n, m, eps, u, steps in CRITERION_6_CONFIGS:
-        f = SlidingFilter.create(n, m, eps, u=u, seed=6, debug=True)
+        f = CheckedFilter.create(n, m, eps, u=u, seed=6)
         mismatches += sweep_mismatches(f, u, steps, stream_seed=u * 3 + n)
     ok &= mismatches == 0
     dt = time.perf_counter() - t0

@@ -195,6 +195,15 @@ def test_fpr_subcommand_json(capsys):
     assert rep["passed"] is True
 
 
+def test_fpr_explicit_zero_stream_len_exits_2(capsys):
+    # an explicit 0 is refused, not replaced by the default length
+    code, out, err = run(capsys, "fpr", "-n", "200", "-m", "50", "-e", "0.0625",
+                         "-T", "2000", "--seed", "4", "--stream-len", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: stream_len must be >=")
+
+
 def test_fpr_underpowered_exit_4(capsys):
     code, out, err = run(capsys, "fpr", "-n", "100", "-m", "10", "-e", "0.0009765625",
                          "--seed", "4", "-T", "1000")
@@ -211,12 +220,6 @@ def test_space_subcommand(capsys):
     assert rep["ratio"] == pytest.approx(rep["measured_bits"] / rep["lower_bound_bits"])
 
 
-def test_bench_subcommand(capsys):
-    code, out, _ = run(capsys, "bench", "-n", "500", "-m", "500", "-e", "0.0625",
-                       "--ops", "3000", "--seeds", "2")
-    assert code == 0
-    rep = json.loads(out)
-    assert len(rep["runs"]) == 2
-    for r in rep["runs"]:
-        assert r["inserts_per_sec"] > 0
-        assert r["max_kick_chain"] < 500
+def test_bench_is_an_unknown_subcommand(capsys):
+    assert cli.main(["bench", "-n", "500", "-e", "0.0625"]) == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err

@@ -11,18 +11,18 @@ from slidingbloom import (
     INFINITE,
     InsertOverflow,
     InvalidParams,
-    LabelReuseViolation,
     SlidingFilter,
     UnrecoverableOverflow,
-    WindowOracle,
     dictionary,
     never_stale,
 )
 from slidingbloom.prng import SplitMix64
 
 from cell_audit import check_consistency
+from checked_filter import CheckedFilter, LabelReuseViolation, is_active_tag
 from reference_model import CRITERION_6_CONFIGS, sweep_mismatches
 from stream_patterns import all_same, burst_edges, distinct, random_pool, round_robin
+from window_oracle import WindowOracle
 
 U64 = 2**64
 
@@ -113,7 +113,7 @@ def test_no_false_negatives_vs_oracle(pattern, m):
         stream = round_robin(2500, n + 1)
     else:
         stream = burst_edges(2500, n, seed=5)
-    f = SlidingFilter.create(n, m, eps, seed=6, debug=True)
+    f = CheckedFilter.create(n, m, eps, seed=6)
     o = WindowOracle(n, m)
     for t, x in enumerate(stream):
         f.insert(x)
@@ -125,7 +125,7 @@ def test_no_false_negatives_vs_oracle(pattern, m):
 
 
 def test_all_duplicates_keep_single_active_cell():
-    f = SlidingFilter.create(40, 40, 2**-4, seed=8, debug=True)
+    f = CheckedFilter.create(40, 40, 2**-4, seed=8)
     for _ in range(5000):
         f.insert(7)
     assert f.active_count() == 1
@@ -154,7 +154,7 @@ def test_soundness_envelope_exhaustive():
 
 def test_active_count_bounded_by_capacity_law():
     n, m, eps = 100, 100, 2**-5
-    f = SlidingFilter.create(n, m, eps, seed=13, debug=True)
+    f = CheckedFilter.create(n, m, eps, seed=13)
     limit = (f.params.c + 1) * f.params.g
     for x in range(5000):
         f.insert(x)
@@ -170,7 +170,7 @@ def test_mode_equivalence_small_exhaustive():
         (20, INFINITE, 0.5, 211, 600),
     ]
     for n, m, eps, u, steps in configs:
-        f = SlidingFilter.create(n, m, eps, u=u, seed=21, debug=True)
+        f = CheckedFilter.create(n, m, eps, u=u, seed=21)
         assert sweep_mismatches(f, u, steps, stream_seed=n * 1000 + u) == 0, (n, m, eps)
 
 
@@ -180,7 +180,7 @@ def test_reference_model_sees_a_disabled_scanner(monkeypatch):
     # length, must see that on every configuration
     monkeypatch.setattr(dictionary.Dictionary, "scan_step", lambda self, k, stale: 0)
     for n, m, eps, u, steps in CRITERION_6_CONFIGS:
-        f = SlidingFilter.create(n, m, eps, u=u, seed=6, debug=False)
+        f = SlidingFilter.create(n, m, eps, u=u, seed=6)
         assert sweep_mismatches(f, u, steps // 2, stream_seed=u * 3 + n) > 0, (n, m, eps)
 
 
@@ -191,7 +191,7 @@ def test_reference_model_sees_a_disabled_scanner(monkeypatch):
     (40, 1, 2**-4, U64),   # c=n, g=1
 ])
 def test_label_reuse_safety_degenerate(n, m, eps, u):
-    f = SlidingFilter.create(n, m, eps, u=u, seed=31, debug=True)
+    f = CheckedFilter.create(n, m, eps, u=u, seed=31)
     rng = SplitMix64(5)
     for _ in range(20_000):
         f.insert(rng.below(min(u, 4 * n + 8)))
@@ -204,10 +204,10 @@ def test_scan_width_normally_two():
 
 
 def test_label_reuse_hook_fires_when_sabotaged():
-    # a cell still carrying the incoming label must trip the debug hook
+    # a cell still carrying the incoming label must trip the label check
     # (driven via the boundary directly: the scanner would otherwise be
     # entitled to reclaim the planted stale cell first)
-    f = SlidingFilter.create(20, 20, 0.25, seed=41, debug=True)
+    f = CheckedFilter.create(20, 20, 0.25, seed=41)
     doomed = (f.gen_label + 1) % f.params.gen_modulus
     f.dictionary.insert_or_update(99, doomed, never_stale)
     with pytest.raises(LabelReuseViolation):
@@ -287,7 +287,7 @@ def assert_counts_match_cells(f):
     swept = Counter(tag for _i, _fp, tag in d.entries())
     assert [d.tag_count(t) for t in range(d.tag_range)] == [swept[t] for t in range(d.tag_range)]
     assert d.occupancy() == sum(swept.values())
-    assert f.active_count() == sum(k for t, k in swept.items() if f.is_active_tag(t))
+    assert f.active_count() == sum(k for t, k in swept.items() if is_active_tag(f, t))
     return swept
 
 

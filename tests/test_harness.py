@@ -3,12 +3,11 @@ import math
 
 import pytest
 
-from slidingbloom import (
-    INFINITE,
-    InvalidParams,
+from slidingbloom import INFINITE, InvalidParams, dictionary, measure_fpr, space_report
+
+from validation_drivers import (
+    CRITERION_6_STRESS_CONFIGS,
     census_false_positives,
-    measure_fpr,
-    space_report,
     stress_label_safety,
 )
 
@@ -100,6 +99,7 @@ def test_stress_clean_run():
     assert s.passed
     assert s.label_violations == 0
     assert s.fn_failures == 0
+    assert s.steps == 100_000
     assert s.fn_checks == 2 * 100_000
     assert s.max_active <= s.active_limit
 
@@ -107,6 +107,17 @@ def test_stress_clean_run():
 def test_stress_degenerate_c_one():
     s = stress_label_safety(64, 64, 0.5, steps=6000, seed=5)
     assert s.passed and s.label_violations == 0
+
+
+def test_stress_sees_a_disabled_scanner(monkeypatch):
+    # without the scanner, expired cells still carry their label when it
+    # is handed out again; the driver's checked filter must stop each of
+    # criterion 6's stress runs at that first reuse
+    monkeypatch.setattr(dictionary.Dictionary, "scan_step", lambda self, k, stale: 0)
+    for n, m, eps in CRITERION_6_STRESS_CONFIGS:
+        s = stress_label_safety(n, m, eps, steps=20_000, seed=97)
+        assert s.label_violations == 1 and not s.passed, (n, m, eps)
+        assert s.steps < 20_000
 
 
 def test_reports_serialize_infinite_slack():

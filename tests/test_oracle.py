@@ -1,6 +1,8 @@
 from hypothesis import given, strategies as st
 
-from slidingbloom import INFINITE, Region, WindowOracle
+from slidingbloom import INFINITE
+
+from window_oracle import Region, WindowOracle
 
 
 def naive_classify(stream, n, m, x):

@@ -35,10 +35,8 @@ class WindowOracle:
         else:
             self._full = deque()
             self._full_counts: dict = {}
-        self.position = 0
 
     def push(self, x) -> None:
-        self.position += 1
         self._win.append(x)
         self._win_counts[x] = self._win_counts.get(x, 0) + 1
         if len(self._win) > self.n:
@@ -71,6 +69,3 @@ class WindowOracle:
     def window_distinct(self):
         """Distinct elements currently inside the window."""
         return self._win_counts.keys()
-
-    def __len__(self) -> int:
-        return len(self._win)
