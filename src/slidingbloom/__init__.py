@@ -8,7 +8,7 @@ epsilon for anything older. Backed by a fingerprint dictionary
 scanner that keeps every operation's work constant.
 """
 
-from .dictionary import BUCKET_SIZE, MAX_KICKS, Dictionary, InsertOverflow, never_stale
+from .dictionary import BUCKET_SIZE, MAX_SEARCH, Dictionary, InsertOverflow, never_stale
 from .filter import (
     DEFAULT_UNIVERSE,
     CostReport,
@@ -40,7 +40,7 @@ __all__ = [
     "INFINITE",
     "InsertOverflow",
     "InvalidParams",
-    "MAX_KICKS",
+    "MAX_SEARCH",
     "SlidingFilter",
     "SnapshotError",
     "SpaceReport",

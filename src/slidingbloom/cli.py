@@ -7,7 +7,10 @@ pre-hashed to 64-bit integers with FNV-1a of their UTF-8 bytes
 input is consumed as little-endian 64-bit words.
 
 Exit codes: 0 ok, 2 usage or invalid configuration, 3 dictionary
-insert overflow, 4 statistically underpowered fpr run.
+insert overflow, 4 statistically underpowered fpr run, 141 (128 +
+SIGPIPE, as a shell reports a process killed by it) standard output
+closed by its reader, as by ``| head``; nothing is written to stderr
+then.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import sys
 from array import array
 
@@ -29,6 +33,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_OVERFLOW = 3
 EXIT_UNDERPOWERED = 4
+EXIT_BROKEN_PIPE = 141
 
 
 def _parse_slack(text: str):
@@ -246,7 +251,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so that the flush
+        # at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

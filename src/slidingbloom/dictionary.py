@@ -38,16 +38,16 @@ Storage is typed. A cell holds one key 2q + side - 1 in an unsigned
 all-ones value of the key width marking an empty cell, and one tag in
 a second typed array. An empty cell's tag is 0. ``to_buffers`` and
 ``restore`` move the state that cannot be derived from the constructor
-arguments (placement seed, walk state, scan cursor and the cells) in
-bulk, range-checking it on the way in. Only the occupancy is counted as
-cells change; ``tag_count`` and ``live_count`` sweep the planes on
-demand, so no update pays for them.
+arguments (the scan cursor and the cells) in bulk, range-checking it
+on the way in. Only the occupancy is counted as cells change;
+``tag_count`` and ``live_count`` sweep the planes on demand, so no
+update pays for them.
 
 Staleness is the caller's notion: every operation takes ``stale``, the
 set of tags that are stale now (a ``set`` or ``frozenset`` of ints; the
 caller keeps it up to date and may change it between calls). An insert
 reclaims the stale cells of a bucket only when it needs room there,
-i.e. when a candidate bucket or a kick target has no empty cell, so
+i.e. when a candidate bucket or an eviction target has no empty cell, so
 logically-dead cells never block an insert; everything else is left to
 the scanner (``scan_step``). Before the reclaim loop runs on such a
 full bucket, one membership test per cell, which allocates nothing,
@@ -55,9 +55,18 @@ decides whether any of its tags is stale, and the loop runs only when
 one is. ``member`` is read-only: it filters stale hits out of its
 answer but leaves them in place.
 
-Geometry and policy: BUCKET_SIZE = 4, two bucket choices, random-walk
-eviction capped at MAX_KICKS = 500, cell count sized for a 0.9 load
-at element capacity (rounded up to a whole number of bucket pairs).
+When both candidate buckets are full of live cells, a breadth-first
+search over the other buckets of the cells met finds the nearest
+bucket with room, and the cells on the path to it each move one step
+(the practical form of de-amortized cuckoo hashing; Fan, Andersen and
+Kaminsky, MemC3, NSDI 2013). Nothing moves before a path is found, and
+no random choice is made, so the cells are a function of the insert
+sequence and the seed alone.
+
+Geometry and policy: BUCKET_SIZE = 4, two bucket choices, eviction
+search capped at MAX_SEARCH = 200 visited buckets, cell count sized
+for a 0.9 load at element capacity (rounded up to a whole number of
+bucket pairs).
 """
 
 from __future__ import annotations
@@ -74,7 +83,7 @@ from .prng import SplitMix64, derive_seed, splitmix64, splitmix64_block
 
 # the stale pre-checks in insert_or_update are unrolled for 4 cells
 BUCKET_SIZE = 4
-MAX_KICKS = 500
+MAX_SEARCH = 200
 # load target 0.9, kept as a ratio of integers so capacity math is exact
 _LOAD_NUM, _LOAD_DEN = 9, 10
 
@@ -84,17 +93,18 @@ _MAX_CHAR_BITS = 12
 # unsigned array typecode for each item width in bytes
 _TYPECODES = {array(code).itemsize: code for code in "QLIHB"}
 
-# to_buffers header: placement_seed, walk_state, cursor
-_HEADER = struct.Struct("<QQQ")
+# to_buffers header: the scan cursor
+_HEADER = struct.Struct("<Q")
 
 
 class InsertOverflow(RuntimeError):
-    """Random-walk insertion ran out of kicks.
+    """No eviction path within the search budget.
 
     Signals an unlucky placement seed (made negligible by the load
-    target). The walk ends carrying one element that is in no cell: its
-    fingerprint and tag are ``fp`` and ``tag``. The owner should rebuild
-    with a fresh seed, reinserting that element, rather than continue.
+    target). No cell has changed, and the element to insert, in no
+    cell, has fingerprint ``fp`` and tag ``tag``. The owner should
+    rebuild with a fresh seed, inserting that element, rather than
+    continue.
     """
 
     def __init__(self, message: str, fp: int | None = None, tag: int | None = None):
@@ -165,7 +175,6 @@ class DictSpaceReport:
     cursor_bits: int
     occupancy_bits: int
     seed_bits: int
-    walk_state_bits: int
     overhead_bits: int
     total_bits: int
 
@@ -208,24 +217,10 @@ class Dictionary:
             self._keys = array(code, [self._empty]) * self.capacity_cells
         self._tags = array(_TYPECODES[self._tag_width], [0]) * self.capacity_cells
 
-        self._placement_seed = derive_seed(seed, "bucket-placement")
-        self._init_placement()
-        self._walk = SplitMix64(derive_seed(seed, "cuckoo-walk"))
-
-        self._cursor = 0
-        self._occupancy = 0
-
-        # per-operation instrumentation (cells counted bucket-granular)
-        self.last_op_cells = 0
-        self.last_op_kicks = 0
-        self.max_kick_chain = 0
-
-    # -- placement ---------------------------------------------------------
-
-    def _init_placement(self) -> None:
-        """Derive the affine multipliers and mix tables from the placement seed."""
+        # the affine multipliers and the mix tables, from the placement seed
         nb = self.num_buckets
-        rng = SplitMix64(splitmix64(self._placement_seed))
+        placement_seed = derive_seed(seed, "bucket-placement")
+        rng = SplitMix64(splitmix64(placement_seed))
 
         def draw_unit() -> int:
             while True:
@@ -242,7 +237,18 @@ class Dictionary:
         self._inv1 = pow(a1, -1, nb)
         self._inv2 = pow(a2, -1, nb)
         # q -> h, whose lowest two base-nb digits are the two mixes
-        self._mix = _tabulation(self._placement_seed, self._q_max.bit_length())
+        self._mix = _tabulation(placement_seed, self._q_max.bit_length())
+
+        self._cursor = 0
+        self._occupancy = 0
+
+        # per-operation instrumentation (cells counted bucket-granular;
+        # a kick is one cell moved along an eviction path)
+        self.last_op_cells = 0
+        self.last_op_kicks = 0
+        self.max_kick_chain = 0
+
+    # -- placement ---------------------------------------------------------
 
     def buckets_for(self, fp: int) -> tuple[int, int]:
         """The two candidate buckets of a fingerprint (side 1, side 2)."""
@@ -290,8 +296,8 @@ class Dictionary:
 
         Stale cells of a bucket (those whose tag is in ``stale``) are
         reclaimed only when the bucket has no empty cell. Raises
-        InsertOverflow, carrying the element left without a cell, if the
-        random walk exceeds MAX_KICKS.
+        InsertOverflow, carrying fp and tag and leaving every cell as it
+        was, if no eviction path is found within MAX_SEARCH buckets.
         """
         nb = self.num_buckets
         q, r = divmod(fp, nb)
@@ -340,67 +346,65 @@ class Dictionary:
             self._occupancy += 1
             return
 
-        # both candidate buckets full of live cells: random-walk eviction;
-        # the carried element enters a bucket on a known side and swaps
-        # with a random victim, which then walks to its other side. One
-        # 64-bit draw picks the side (bit 0) and 31 victims (two bits each)
-        next64 = self._walk.next64
+        # both candidate buckets full of live cells: search breadth-first,
+        # from each cell of a visited bucket to its other bucket, for one
+        # with an empty or stale cell, within MAX_SEARCH visited buckets
+        # (the roots included). A bucket enters the search once: a path
+        # through it twice would move a cell twice and duplicate it.
+        # Nothing moves until the path is found; then each of its cells
+        # moves one step, from the free end back to the root bucket.
         mult1, mult2, inv1, inv2 = self._mult1, self._mult2, self._inv1, self._inv2
         mix = self._mix
-        word = next64()
-        if word & 1 == 0:
-            cur_b, cur_key = b1, key1
-        else:
-            cur_b, cur_key = b2, key2
-        cur_tag = tag
-        touched = 2 * BUCKET_SIZE
-        for kick in range(1, MAX_KICKS + 1):
-            slot = kick & 31
-            if not slot:
-                word = next64()
-            victim = cur_b * BUCKET_SIZE + (word >> 2 * slot & 3)
-            v_key = keys[victim]
-            v_tag = tags[victim]
-            keys[victim] = cur_key
-            tags[victim] = cur_tag
+        # (bucket, index of the entry the moving cell comes from, that cell)
+        path = [(b1, -1, -1), (b2, -1, -1)]
+        seen = {b1, b2}
+        j = 0
+        while j < len(path) and j < MAX_SEARCH:
+            b = path[j][0]
+            for src in range(b * BUCKET_SIZE, (b + 1) * BUCKET_SIZE):
+                key = keys[src]
+                h = mix(key >> 1)
+                if key & 1:
+                    alt = (mult1 * ((b - h // nb) * inv2 % nb) + h) % nb
+                else:
+                    alt = (mult2 * ((b - h) * inv1 % nb) + h // nb) % nb
+                if alt in seen:
+                    continue
+                seen.add(alt)
+                path.append((alt, j, src))
+                base = alt * BUCKET_SIZE
+                cells = keys[base:base + BUCKET_SIZE]
+                if empty in cells:
+                    i = base + cells.index(empty)
+                elif (tags[base] in stale or tags[base + 1] in stale
+                      or tags[base + 2] in stale or tags[base + 3] in stale):
+                    self._reclaim(base, base + BUCKET_SIZE, stale)
+                    i = keys.index(empty, base, base + BUCKET_SIZE)
+                else:
+                    continue
 
-            h = mix(v_key >> 1)
-            if v_key & 1:
-                v_r = (cur_b - h // nb) * inv2 % nb
-                cur_b = (mult1 * v_r + h) % nb
-            else:
-                v_r = (cur_b - h) * inv1 % nb
-                cur_b = (mult2 * v_r + h // nb) % nb
-            cur_key = v_key ^ 1
-            cur_tag = v_tag
+                moves = 0
+                while src >= 0:
+                    keys[i] = keys[src] ^ 1
+                    tags[i] = tags[src]
+                    i = src
+                    moves += 1
+                    _b, j, src = path[j]
+                keys[i] = key1 if i // BUCKET_SIZE == b1 else key2
+                tags[i] = tag
+                self._occupancy += 1
+                self.last_op_cells = len(path) * BUCKET_SIZE
+                self.last_op_kicks = moves
+                if moves > self.max_kick_chain:
+                    self.max_kick_chain = moves
+                return
+            j += 1
 
-            base = cur_b * BUCKET_SIZE
-            touched += BUCKET_SIZE
-            cells = keys[base:base + BUCKET_SIZE]
-            if empty in cells:
-                i = base + cells.index(empty)
-            elif (tags[base] in stale or tags[base + 1] in stale
-                  or tags[base + 2] in stale or tags[base + 3] in stale):
-                self._reclaim(base, base + BUCKET_SIZE, stale)
-                i = keys.index(empty, base, base + BUCKET_SIZE)
-            else:
-                continue
-            keys[i] = cur_key
-            tags[i] = cur_tag
-            self._occupancy += 1
-            self.last_op_cells = touched
-            self.last_op_kicks = kick
-            if kick > self.max_kick_chain:
-                self.max_kick_chain = kick
-            return
-
-        self.last_op_cells = touched
-        self.last_op_kicks = MAX_KICKS
-        self.max_kick_chain = max(self.max_kick_chain, MAX_KICKS)
+        self.last_op_cells = len(path) * BUCKET_SIZE
         raise InsertOverflow(
-            f"no placement for fingerprint {fp} after {MAX_KICKS} kicks "
+            f"no placement for fingerprint {fp} within {MAX_SEARCH} buckets "
             f"(occupancy {self._occupancy}/{self.capacity_cells})",
-            self._fingerprint(cur_key, cur_b), cur_tag,
+            fp, tag,
         )
 
     def _reclaim(self, start: int, stop: int, stale) -> int:
@@ -480,14 +484,13 @@ class Dictionary:
     def bits_used(self) -> DictSpaceReport:
         """Notional packed size of the structure, itemized: an occupied
         flag, the quotient, the side bit and the tag per cell, plus the
-        cursor, occupancy, seed and walk-state words."""
+        cursor, occupancy and seed words."""
         cell_bits = 1 + self.quotient_bits + 1 + self.tag_bits
         cells_total = self.capacity_cells * cell_bits
         cursor_bits = max(1, (self.capacity_cells - 1).bit_length())
         occupancy_bits = max(1, self.capacity_cells.bit_length())
         seed_bits = 64
-        walk_state_bits = 64
-        overhead = cursor_bits + occupancy_bits + seed_bits + walk_state_bits
+        overhead = cursor_bits + occupancy_bits + seed_bits
         return DictSpaceReport(
             capacity_cells=self.capacity_cells,
             cell_bits=cell_bits,
@@ -495,7 +498,6 @@ class Dictionary:
             cursor_bits=cursor_bits,
             occupancy_bits=occupancy_bits,
             seed_bits=seed_bits,
-            walk_state_bits=walk_state_bits,
             overhead_bits=overhead,
             total_bits=cells_total + overhead,
         )
@@ -511,8 +513,7 @@ class Dictionary:
 
     def to_buffers(self) -> tuple:
         """The state ``restore`` reads back, little-endian, as three
-        buffers: a header of the placement seed, walk state and scan
-        cursor (u64 each), then the key plane and the tag plane.
+        buffers: the scan cursor (u64), the key plane and the tag plane.
 
         Planes hold capacity_cells items of key_width and tag_width
         bytes, in cell order. Geometry, widths and occupancy follow from
@@ -520,7 +521,7 @@ class Dictionary:
         On a little-endian host a typed plane is a view of the live
         array, not a copy, so it is valid only until the next update.
         """
-        header = _HEADER.pack(self._placement_seed, self._walk.state, self._cursor)
+        header = _HEADER.pack(self._cursor)
         if isinstance(self._keys, list):
             key_plane = b"".join(k.to_bytes(self._key_width, "little") for k in self._keys)
         else:
@@ -536,9 +537,7 @@ class Dictionary:
         mismatch, a cursor or tag out of range, a quotient above the
         fingerprint range, or a nonzero tag in an empty cell. Structural
         invariants that need a full decode (no duplicates, every cell in
-        a candidate bucket of its fingerprint) are not checked. The
-        placement tables are drawn again only if the placement seed
-        differs from this dictionary's.
+        a candidate bucket of its fingerprint) are not checked.
 
         The planes are checked by counting over whole arrays: keys above
         the largest in-range key must all be empty keys, the largest tag
@@ -554,7 +553,7 @@ class Dictionary:
         if len(data) != key_end + cap * tag_width:
             raise ValueError(f"dictionary section holds {len(data)} bytes, "
                              f"expected {key_end + cap * tag_width}")
-        placement_seed, walk_state, cursor = _HEADER.unpack_from(data)
+        (cursor,) = _HEADER.unpack_from(data)
         if cursor >= cap:
             raise ValueError(f"scan cursor {cursor} outside [0, {cap})")
 
@@ -581,10 +580,6 @@ class Dictionary:
         if np.logical_and(tags, vacant).any():
             raise ValueError("nonzero tag in an empty cell")
 
-        if placement_seed != self._placement_seed:
-            self._placement_seed = placement_seed
-            self._init_placement()
-        self._walk.state = walk_state
         self._cursor = cursor
         if isinstance(self._keys, list):
             self._keys = keys

@@ -43,8 +43,8 @@ MAX_REBUILDS_PER_INSERT = 3
 class UnrecoverableOverflow(InsertOverflow):
     """Every reseeded rebuild after an insert overflow failed.
 
-    The element the failed walk carried is in no cell, so the filter
-    could answer No inside the window. It refuses further use: this is
+    The element being inserted is in no cell, so the filter could
+    answer No inside the window. It refuses further use: this is
     raised by the failing insert and by every later insert, query, save
     or inspection of the filter.
     """
@@ -101,9 +101,9 @@ class SlidingFilter:
         """Build an empty filter.
 
         ``params`` must pass ``FilterParams.validate`` (``create`` derives
-        them from n, m, epsilon and u). The fingerprint hash, the
-        dictionary's placement and its cuckoo walk all derive from
-        ``seed``, which is taken modulo 2**64.
+        them from n, m, epsilon and u). The fingerprint hash and the
+        dictionary's placement both derive from ``seed``, which is taken
+        modulo 2**64.
         """
         self._build(params, seed, rebuilds=0)
 
@@ -226,20 +226,18 @@ class SlidingFilter:
             self._ins_max_nokick = cells
 
     def _recover_overflow(self, overflow: InsertOverflow) -> None:
-        """Rehash into a reseeded dictionary after a failed cuckoo walk.
+        """Rehash into a reseeded dictionary after a failed eviction search.
 
-        The walk ended carrying one element that is in no cell (the new
-        one or an element it displaced); it is reinserted with the
-        surviving live cells (stale ones are dropped, which only helps).
-        Deterministic: retry seeds derive from the master seed and the
-        rebuild count. After MAX_REBUILDS_PER_INSERT consecutive
-        failures the element stays lost, so the filter raises
-        UnrecoverableOverflow now and on every later use.
+        The failed insert left every cell as it was; its element is
+        inserted with the surviving live cells (stale ones are dropped,
+        which only helps). Deterministic: retry seeds derive from the
+        master seed and the rebuild count. After MAX_REBUILDS_PER_INSERT
+        consecutive failures the element stays lost, so the filter
+        raises UnrecoverableOverflow now and on every later use.
         """
         stale = self._stale
         survivors = [(fp, tag) for _idx, fp, tag in self._dict.entries() if tag not in stale]
-        if overflow.tag not in stale:
-            survivors.append((overflow.fp, overflow.tag))
+        survivors.append((overflow.fp, overflow.tag))
         for _ in range(MAX_REBUILDS_PER_INSERT):
             self.rebuilds += 1
             fresh = self._new_dictionary()

@@ -23,14 +23,15 @@ from functools import lru_cache
 from .prng import SplitMix64, derive_seed
 
 # Deterministic Miller-Rabin witness set, exact for all n < 3.3e24
-# (covers anything a 64-bit universe can produce).
+# (covers anything a 64-bit universe can produce); is_prime also
+# trial-divides by these primes before the test.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for small in _MR_WITNESSES:
         if n % small == 0:
             return n == small
     d = n - 1

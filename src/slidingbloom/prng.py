@@ -1,11 +1,11 @@
 """Deterministic seeding and mixing utilities.
 
 Every piece of internal randomness (hash multiplier draw, bucket
-placement multipliers and tabulation tables, cuckoo walk choices) flows
-through splitmix64, so a run is reproducible from one integer seed on
-any platform and the entire generator state fits in a single 64-bit
-word (which keeps snapshots trivial). The generator identity is part
-of the reproducibility contract documented in the README.
+placement multipliers and tabulation tables) flows through splitmix64,
+so a run is reproducible from one integer seed on any platform. All of
+it is drawn when a filter or dictionary is built, so no generator state
+outlives construction and snapshots store none. The generator identity
+is part of the reproducibility contract documented in the README.
 """
 
 from __future__ import annotations

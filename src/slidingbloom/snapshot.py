@@ -3,12 +3,11 @@
 A snapshot holds only what a filter cannot derive: the user inputs and
 the derived parameters (checked by ``FilterParams.validate``), the
 seed, the stream position, the rebuild count, and the dictionary's
-placement seed, walk state, scan cursor and cells. Field order (all
-integers little-endian, fixed widths):
+scan cursor and cells. Field order (all integers little-endian, fixed
+widths):
 
     magic              b"SBFSNAP1"
-    version            u16   (currently 3)
-    mode               u8    (always 0; 1 was the retired amortized mode)
+    version            u16   (currently 4)
     flags              u8    (bit0: slack m is infinite)
     n                  u64
     m                  u64   (0 when infinite)
@@ -22,9 +21,8 @@ integers little-endian, fixed widths):
     steps              u64   (elements inserted so far)
     rebuilds           u64
     dictionary         the rest up to the trailer: ``Dictionary.to_buffers``
-                       (placement_seed u64, walk_state u64, cursor u64,
-                        then capacity_cells keys of key_width bytes and
-                        capacity_cells tags of tag_width bytes)
+                       (cursor u64, then capacity_cells keys of key_width
+                        bytes and capacity_cells tags of tag_width bytes)
     crc32              u32   (zlib.crc32 of every byte before it)
 
 Loading builds the filter through its constructor, which derives the
@@ -32,18 +30,16 @@ hash, the scan width and the dictionary's geometry and cell widths, then
 resumes it at ``steps`` (generation position, boundary count and label
 follow) with the stored dictionary state (the occupancy follows from the
 cells; no per-tag counts are kept). The dictionary is constructed for
-the stored rebuild count, whose seed label gives the placement seed a
-saved filter stores, so a filter that rebuilt draws its placement
-tables once; a stored placement seed that differs is still honoured,
-by drawing them again. The blob is read through memoryviews: the
-checksummed body and the cells are not copied. The key and tag planes
-are range-checked with whole-array counts and copied once, in place,
-into the arrays the constructor allocated. A key is 2q + side - 1, q
-being the in-bucket quotient of the fingerprint; together with the
-cell's position it reconstructs the fingerprint exactly, so a round
-trip is bit-exact and the reloaded filter continues the stream
-identically (instrumentation counters start fresh). An all-ones key
-marks an empty cell, whose tag is 0.
+the stored rebuild count, whose seed label derives its placement, so a
+filter that rebuilt draws its placement tables once. The blob is read
+through memoryviews: the checksummed body and the cells are not copied.
+The key and tag planes are range-checked with whole-array counts and
+copied once, in place, into the arrays the constructor allocated. A key
+is 2q + side - 1, q being the in-bucket quotient of the fingerprint;
+together with the cell's position it reconstructs the fingerprint
+exactly, so a round trip is bit-exact and the reloaded filter continues
+the stream identically (instrumentation counters start fresh). An
+all-ones key marks an empty cell, whose tag is 0.
 
 Saving writes three buffers and the trailer, with a running CRC32: the
 fields up to the cells, the key plane and the tag plane. On a
@@ -52,15 +48,21 @@ copies no cells. Every check runs before the first write, so a refused
 save writes nothing.
 
 Loading checks the magic, the version, the length and the trailer,
-then every stored field: mode 0 and flags in range, m = 0 when the slack
-is infinite, the parameters valid, the dictionary section exactly as
-long as the parameters make it, and the scan cursor, the tags and the
+then every stored field: flags in range, m = 0 when the slack is
+infinite, the parameters valid, the dictionary section exactly as long
+as the parameters make it, and the scan cursor, the tags and the
 quotients in range, with a zero tag in every empty cell. A blob that
-fails any check raises SnapshotError. Versions 1 and 2 are refused:
-version 1 cells were placed by an earlier placement function, and
-version 2 stored derived fields in other places. So is a mode byte of 1:
-it marked a filter of the retired amortized mode, whose labels cycle
-with another modulus.
+fails any check raises SnapshotError. Versions 1 to 3 are refused:
+version 1 cells were placed by an earlier placement function, version 2
+stored derived fields in other places, and version 3 stored a mode
+byte, the dictionary's placement seed and the state of a random eviction
+walk that no longer exists.
+
+Integrity scope: the CRC32 catches accidental damage, such as a flipped
+bit or a truncated file. It is not a signature. A blob resealed with a
+fresh CRC after a change to ``steps`` or to a cell is a forgery that no
+unkeyed format can refuse: it loads if every field is in range, and
+answers as the forged state says.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ from .filter import SlidingFilter
 from .params import INFINITE, FilterParams, InvalidParams
 
 MAGIC = b"SBFSNAP1"
-VERSION = 3
+VERSION = 4
 _U64_MAX = (1 << 64) - 1
 _U128_MAX = (1 << 128) - 1
 _CRC = struct.Struct("<I")
@@ -122,7 +124,6 @@ def _encode(f: SlidingFilter) -> tuple:
     header = b"".join((
         MAGIC,
         _u(VERSION, 2),
-        _u(0, 1),  # mode byte
         _u(1 if infinite else 0, 1),
         _u(p.n, 8),
         _u(0 if infinite else p.m, 8),
@@ -156,10 +157,7 @@ def _decode(data: bytes) -> SlidingFilter:
     if zlib.crc32(body) != crc:
         raise SnapshotError("checksum mismatch: snapshot is corrupted or truncated")
     r = _Reader(body, start=10)
-    mode_code = r.take(1)
     flags = r.take(1)
-    if mode_code:
-        raise SnapshotError(f"mode {mode_code} refused: only mode 0 is supported")
     if flags > 1:
         raise SnapshotError(f"flags {flags} out of range")
     n = r.take(8)

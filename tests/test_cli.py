@@ -81,12 +81,17 @@ def test_dedup_binary_partial_word_after_buffer_boundary(capsys, tmp_path):
 UTF8_TEXT = "àb àb\n".encode("utf-8")
 
 
-def run_cli_process(*args, stdin=b"", **env):
-    """python <args> in a fresh interpreter that imports this slidingbloom."""
+def cli_env(**env):
+    """The environment of a fresh interpreter that imports this slidingbloom."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **env}
+
+
+def run_cli_process(*args, stdin=b"", **env):
+    """python <args> in a fresh interpreter that imports this slidingbloom."""
     return subprocess.run([sys.executable, *args], input=stdin, capture_output=True,
-                          env={**os.environ, "PYTHONPATH": path, **env}, timeout=120)
+                          env=cli_env(**env), timeout=120)
 
 
 DEDUP_JSON = ("-m", "slidingbloom.cli", "dedup", "-n", "10", "-e", "0.01",
@@ -120,6 +125,22 @@ def test_dedup_path_opened_with_an_explicit_encoding(tmp_path):
                            *DEDUP_JSON, str(src))
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["items"] == 2
+
+
+def test_dedup_into_a_pipe_closed_after_one_line(tmp_path):
+    # as under `| head -1`: the reader goes away long before the output
+    # ends, and the program exits 128 + SIGPIPE with nothing on stderr
+    src = tmp_path / "words.txt"
+    src.write_text("\n".join(f"w{i}" for i in range(50_000)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "slidingbloom.cli", "dedup", "-n", "100", "-e", "0.01", str(src)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env())
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert first == b"0\tnew\tw0\n"
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
+    assert err == b""
 
 
 def test_dedup_leaves_stdin_open(capsys, monkeypatch):

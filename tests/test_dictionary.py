@@ -186,7 +186,10 @@ def test_bounded_work_member_delete_insert():
     rng = SplitMix64(2)
     for _ in range(250):
         d.insert_or_update(rng.below(10**8), 1, never_stale)
-        assert d.last_op_cells <= 2 * BUCKET_SIZE + d.last_op_kicks * BUCKET_SIZE
+        # a path of k moves ends at depth k of the search: at most
+        # 2 * BUCKET_SIZE**depth buckets at each depth were looked at
+        depths = range(d.last_op_kicks + 1)
+        assert d.last_op_cells <= BUCKET_SIZE * sum(2 * BUCKET_SIZE**k for k in depths)
     d.member(12345, never_stale)
     assert d.last_op_cells <= 2 * BUCKET_SIZE
     d.scan_step(2, {1})
@@ -317,7 +320,7 @@ def test_placement_keeps_no_state_per_quotient_class():
 
 
 def test_insert_overflow_carries_the_homeless_element(monkeypatch):
-    monkeypatch.setattr(dictionary, "MAX_KICKS", 5)
+    monkeypatch.setattr(dictionary, "MAX_SEARCH", 5)
     d = make(cap=200, fp_range=10**9, seed=2)
     rng = SplitMix64(6)
     inserted = []
@@ -332,6 +335,21 @@ def test_insert_overflow_carries_the_homeless_element(monkeypatch):
     assert set(stored) == set(inserted)
     assert all(stored[fp] == (i + 1) % 7 for i, fp in enumerate(inserted))
     check_consistency(d)  # occupancy after the overflow
+
+
+def test_insert_overflow_leaves_every_cell_as_it_was():
+    # more distinct fingerprints than cells: the search exhausts the
+    # table without moving a cell, and the error carries the new element
+    d = make(cap=7, fp_range=10**9, seed=0)
+    rng = SplitMix64(6)
+    with pytest.raises(InsertOverflow) as info:
+        for i in range(1000):
+            before = saved(d)
+            fp, tag = rng.below(10**9), i % 16
+            d.insert_or_update(fp, tag, never_stale)
+    assert saved(d) == before
+    assert (info.value.fp, info.value.tag) == (fp, tag)
+    check_consistency(d)
 
 
 def wide_dictionary():
@@ -370,15 +388,15 @@ def saved(d):
 
 @pytest.mark.parametrize("fp_range", [10**3, 10**7, 10**12, 2**80])
 def test_codec_roundtrip(fp_range):
-    # restored into a dictionary built from other seeds: the stored
-    # placement seed and walk state win
+    # restored into a fresh dictionary built with the same seed, whose
+    # placement decodes the stored cells
     d = filled(fp_range)
     blob = saved(d)
-    e = make(cap=300, fp_range=fp_range, tag_bits=5, seed=99)
+    e = make(cap=300, fp_range=fp_range, tag_bits=5, seed=5)
     e.restore(blob)
     assert saved(e) == blob
     assert list(e.entries()) == list(d.entries())
-    assert e._cursor == d._cursor and e._walk.state == d._walk.state
+    assert e._cursor == d._cursor
     assert e.occupancy() == d.occupancy()
     assert [e.tag_count(t) for t in range(e.tag_range)] == \
         [d.tag_count(t) for t in range(d.tag_range)]
@@ -386,7 +404,7 @@ def test_codec_roundtrip(fp_range):
 
 
 def _cell_planes(d):
-    header = 3 * 8
+    header = 8  # the scan cursor
     return header, header + d.capacity_cells * d._key_width
 
 
@@ -410,7 +428,7 @@ def codec_range_checks(fp_range):
         return bytes(b)
 
     bad = {
-        "cursor": patched(16, d.capacity_cells, 8),
+        "cursor": patched(0, d.capacity_cells, 8),
         "tag": patched(tags_at + occupied * tw, d.tag_range, tw),
         "quotient": patched(keys_at + occupied * kw, 2 * (d._q_max + 1), kw),
         "empty tag": patched(tags_at + free * tw, 1, tw),

@@ -240,9 +240,9 @@ def test_cost_report_bounds():
 
 
 def test_overflow_recovery_keeps_every_window_element(monkeypatch):
-    # a short kick budget forces reseeded rebuilds; the element the failed
-    # walk was carrying must survive each of them
-    monkeypatch.setattr(dictionary, "MAX_KICKS", 30)
+    # a short search budget forces reseeded rebuilds; the element whose
+    # insert failed must survive each of them
+    monkeypatch.setattr(dictionary, "MAX_SEARCH", 8)
     n = m = 2000
     rebuilds = 0
     for seed in range(6):
@@ -264,14 +264,15 @@ def test_overflow_recovery_keeps_every_window_element(monkeypatch):
 
 
 def test_unrecoverable_overflow_refuses_further_use(monkeypatch):
-    # a budget of 20 kicks also sinks the reseeded rebuilds: the element
-    # the last walk carried is lost, so the filter must not keep serving
-    monkeypatch.setattr(dictionary, "MAX_KICKS", 20)
+    # a budget of 6 buckets also sinks the reseeded rebuilds: the element
+    # being inserted is lost, so the filter must not keep serving
+    monkeypatch.setattr(dictionary, "MAX_SEARCH", 6)
     f = SlidingFilter.create(2000, 2000, 2**-8, seed=0)
     with pytest.raises(UnrecoverableOverflow) as info:
         for t in range(20_000):
             f.insert(t * 1000003 + 7)
-    assert t == 2191 and isinstance(info.value, InsertOverflow)
+    assert t == 2994 and isinstance(info.value, InsertOverflow)
+    assert (info.value.fp, info.value.tag) == (f.hash.eval(t * 1000003 + 7), f.gen_label)
     target = io.BytesIO()
     for use in (lambda: f.insert(t * 1000003 + 7), lambda: f.query(7),
                 lambda: f.save(target)):
@@ -319,7 +320,7 @@ def test_on_demand_counts_match_a_sweep_of_the_cells(monkeypatch):
     assert f.boundaries > 2 * f.params.gen_modulus
 
     # a forced rebuild, then a save/load round trip of the rebuilt filter
-    monkeypatch.setattr(dictionary, "MAX_KICKS", 30)
+    monkeypatch.setattr(dictionary, "MAX_SEARCH", 8)
     f = SlidingFilter.create(2000, 2000, 2**-8, seed=0)
     rng = SplitMix64(100)
     while f.rebuilds == 0:

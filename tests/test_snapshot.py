@@ -88,14 +88,15 @@ def test_rejects_garbage():
         load_filter(bytes(mangled))
 
 
-def test_rng_state_travels():
-    # the cuckoo walk must continue from the serialized state, not restart
+def test_eviction_continues_identically_after_reload():
+    # eviction keeps no state of its own: the reloaded cells alone make
+    # every later eviction path the same
     f = SlidingFilter.create(200, 200, 2**-6, seed=3)
     rng = SplitMix64(0)
     for _ in range(2000):
         f.insert(rng.below(10**9))
     g = load_filter(roundtrip(f))
-    assert g.dictionary._walk.state == f.dictionary._walk.state
+    assert f.dictionary.max_kick_chain > 0
     for _ in range(2000):
         x = rng.below(10**9)
         f.insert(x)
@@ -103,11 +104,11 @@ def test_rng_state_travels():
     assert roundtrip(f) == roundtrip(g)
 
 
-# byte offsets of the v3 layout (see the snapshot module docstring)
-MODE, FLAGS, C = 10, 11, 60
-STEPS = 109
-DICT = 125
-CURSOR, KEYS = DICT + 16, DICT + 24
+# byte offsets of the v4 layout (see the snapshot module docstring)
+FLAGS, C = 10, 59
+STEPS = 108
+DICT = 124
+CURSOR, KEYS = DICT, DICT + 8
 
 
 def reseal(body):
@@ -153,6 +154,15 @@ def test_version_2_refused():
         load_filter(bytes(v2))
 
 
+def test_version_3_refused():
+    # version 3 stored a mode byte, the placement seed and the state of
+    # the random eviction walk: its fields sit at other offsets
+    v3 = bytearray(roundtrip(busy_filter()))
+    v3[8:10] = (3).to_bytes(2, "little")
+    with pytest.raises(SnapshotError, match="version 3"):
+        load_filter(bytes(v3))
+
+
 def test_single_bit_flips_fail_the_checksum():
     blob = roundtrip(busy_filter())
     for bit in range(10 * 8, len(blob) * 8, 97):
@@ -163,7 +173,7 @@ def test_single_bit_flips_fail_the_checksum():
 
 
 def test_generation_derived_from_steps():
-    # v3 stores the stream position only; any value of it loads at the
+    # v4 stores the stream position only; any value of it loads at the
     # generation it implies (v2 stored gen_pos and gen_label as well and
     # refused blobs where they disagreed with the counters)
     f = busy_filter()
@@ -209,12 +219,6 @@ def test_seed_outside_u64_taken_modulo(seed):
 
 def test_header_fields_range_checked():
     blob = roundtrip(busy_filter())
-    assert blob[MODE] == 0
-    # mode 1 marked a filter of the retired amortized mode, whose labels
-    # cycled with another modulus
-    for mode in (1, 2):
-        with pytest.raises(SnapshotError, match=f"mode {mode}"):
-            load_filter(resealed(blob, MODE, mode, 1))
     with pytest.raises(SnapshotError, match="flags"):
         load_filter(resealed(blob, FLAGS, 2, 1))
     with pytest.raises(SnapshotError, match="infinite-slack"):
@@ -222,7 +226,7 @@ def test_header_fields_range_checked():
     with pytest.raises(SnapshotError, match="parameters invalid"):
         load_filter(resealed(blob, C, 7, 8))  # c = 6 with g = 14: c no longer fits
     with pytest.raises(SnapshotError, match="too short"):
-        load_filter(reseal(blob[:DICT + 24]))  # no cells: the constructor never runs
+        load_filter(reseal(blob[:KEYS]))  # no cells: the constructor never runs
 
 
 def test_cell_fields_range_checked():
@@ -248,9 +252,9 @@ def test_cell_fields_range_checked():
 
 
 def test_rebuilt_filter_roundtrip(monkeypatch):
-    # a rebuild reseeds the placement: the stored placement seed, not the
-    # one the filter seed draws, must place the restored cells
-    monkeypatch.setattr(dictionary, "MAX_KICKS", 30)
+    # a rebuild reseeds the placement: the stored rebuild count, not the
+    # filter seed alone, must place the restored cells
+    monkeypatch.setattr(dictionary, "MAX_SEARCH", 8)
     f = SlidingFilter.create(2000, 2000, 2**-8, seed=0)
     rng = SplitMix64(100)
     while f.rebuilds == 0:
@@ -279,7 +283,7 @@ def test_load_derives_hash_and_tables_once(monkeypatch):
     monkeypatch.setattr(filter_module, "new_hash", counted("hash", filter_module.new_hash))
     monkeypatch.setattr(dictionary, "_tabulation", counted("tables", dictionary._tabulation))
     # a filter that rebuilt is built with the placement of its last rebuild
-    rebuilt = (GOLDEN / "snapshot_v3_rebuilt.bin").read_bytes()
+    rebuilt = (GOLDEN / "snapshot_v4_rebuilt.bin").read_bytes()
     for blob in (roundtrip(busy_filter()), rebuilt):
         calls.update(hash=0, tables=0)
         assert roundtrip(load_filter(blob)) == blob
@@ -290,11 +294,12 @@ GOLDEN = Path(__file__).parent / "data"
 
 
 @pytest.mark.parametrize("name", ["plain", "rebuilt"])
-def test_golden_v3_blobs(name):
-    # committed v3 snapshots (recipes in snapshot_v3.json): a change to
-    # derive, the tabulation tables or the seed labels that would
-    # reinterpret saved filters changes these answers or these bytes
-    meta = json.loads((GOLDEN / "snapshot_v3.json").read_text())[name]
+def test_golden_v4_blobs(name):
+    # committed v4 snapshots (recipes in snapshot_v4.json; the answers are
+    # those the same recipes gave as version 3 blobs): a change to derive,
+    # the tabulation tables or the seed labels that would reinterpret
+    # saved filters changes these answers or these bytes
+    meta = json.loads((GOLDEN / "snapshot_v4.json").read_text())[name]
     blob = (GOLDEN / meta["file"]).read_bytes()
     f = load_filter(blob)
     assert (f.steps, f.rebuilds) == (meta["steps"], meta["rebuilds"])
