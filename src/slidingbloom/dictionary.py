@@ -39,7 +39,10 @@ all-ones value of the key width marking an empty cell, and one tag in
 a second typed array. An empty cell's tag is 0. ``to_buffers`` and
 ``restore`` move the state that cannot be derived from the constructor
 arguments (the scan cursor and the cells) in bulk, range-checking it
-on the way in. Only the occupancy is counted as cells change;
+on the way in. Every bulk pass sees a typed array through one numpy
+view (``_plane``); the codec converts it to and from the little-endian
+dtype ``<uN`` (N the width in bytes), which is the same array on a
+little-endian host. Only the occupancy is counted as cells change;
 ``tag_count`` and ``live_count`` sweep the planes on demand, so no
 update pays for them.
 
@@ -72,7 +75,6 @@ bucket pairs).
 from __future__ import annotations
 
 import struct
-import sys
 from array import array
 from dataclasses import dataclass
 from math import gcd
@@ -454,7 +456,7 @@ class Dictionary:
         One sweep of the tag plane, on demand; tag 0 also sweeps the key
         plane, since empty cells carry tag 0 too.
         """
-        hits = self._tag_plane() == tag
+        hits = _plane(self._tags) == tag
         if tag == 0:
             hits &= self._occupied()
         return int(np.count_nonzero(hits))
@@ -464,18 +466,14 @@ class Dictionary:
         key and tag planes, on demand."""
         is_stale = np.zeros(self.tag_range, dtype=bool)
         is_stale[np.fromiter(stale, dtype=np.intp, count=len(stale))] = True
-        return int(np.count_nonzero(self._occupied() & ~is_stale[self._tag_plane()]))
-
-    def _tag_plane(self) -> np.ndarray:
-        """The tags, one per cell, as a view of the live array."""
-        return np.frombuffer(self._tags, dtype=self._tags.typecode)
+        return int(np.count_nonzero(self._occupied() & ~is_stale[_plane(self._tags)]))
 
     def _occupied(self) -> np.ndarray:
         """One boolean per cell: True where the cell holds a key."""
         keys, empty = self._keys, self._empty
         if isinstance(keys, list):
             return np.fromiter((k != empty for k in keys), dtype=bool, count=len(keys))
-        return np.frombuffer(keys, dtype=keys.typecode) != empty
+        return _plane(keys) != empty
 
     @property
     def quotient_bits(self) -> int:
@@ -518,15 +516,18 @@ class Dictionary:
         Planes hold capacity_cells items of key_width and tag_width
         bytes, in cell order. Geometry, widths and occupancy follow from
         the constructor arguments and the cells, so they are not written.
-        On a little-endian host a typed plane is a view of the live
-        array, not a copy, so it is valid only until the next update.
+        A typed plane is the live array as a numpy array of dtype
+        ``<uN`` (N the width in bytes): on a little-endian host a view,
+        not a copy, so it is valid only until the next update; on a
+        big-endian host numpy converts it to a byteswapped copy. Keys
+        wider than 64 bits are joined into bytes.
         """
         header = _HEADER.pack(self._cursor)
         if isinstance(self._keys, list):
             key_plane = b"".join(k.to_bytes(self._key_width, "little") for k in self._keys)
         else:
-            key_plane = _little_endian(self._keys)
-        return header, key_plane, _little_endian(self._tags)
+            key_plane = _plane(self._keys).astype(f"<u{self._key_width}", copy=False)
+        return header, key_plane, _plane(self._tags).astype(f"<u{self._tag_width}", copy=False)
 
     def restore(self, data) -> None:
         """Replace the whole state with ``to_buffers`` output joined into
@@ -543,9 +544,11 @@ class Dictionary:
         the largest in-range key must all be empty keys, the largest tag
         must be below tag_range, and no empty cell may carry a tag. The
         count of empty keys gives the occupancy; per-tag counts are not
-        kept. Only a refusal looks for the offending value. Each plane
-        is then copied once, in place, into the arrays the constructor
-        allocated (keys wider than 64 bits stay a list).
+        kept. Only a refusal looks for the offending value. Each plane,
+        read as a numpy array of dtype ``<uN``, is then assigned once
+        into a numpy view of the array the constructor allocated, which
+        converts the byte order where the host's differs (keys wider
+        than 64 bits stay a list).
         """
         data = memoryview(data).cast("B")
         cap, key_width, tag_width = self.capacity_cells, self._key_width, self._tag_width
@@ -584,22 +587,11 @@ class Dictionary:
         if isinstance(self._keys, list):
             self._keys = keys
         else:
-            _copy_little_endian(self._keys, key_plane)
-        _copy_little_endian(self._tags, tag_plane)
+            _plane(self._keys)[:] = plane
+        _plane(self._tags)[:] = tags
         self._occupancy = cap - vacancies
 
 
-def _little_endian(items: array) -> memoryview:
-    """The items' bytes in little-endian order: a view of the array on a
-    little-endian host, of a byteswapped copy on a big-endian one."""
-    if sys.byteorder == "big":
-        items = array(items.typecode, items)
-        items.byteswap()
-    return memoryview(items).cast("B")
-
-
-def _copy_little_endian(items: array, plane) -> None:
-    """Overwrite items in place with a plane of as many little-endian items."""
-    memoryview(items).cast("B")[:] = plane
-    if sys.byteorder == "big":
-        items.byteswap()
+def _plane(items: array) -> np.ndarray:
+    """A typed array as a numpy array of its native dtype: a view, not a copy."""
+    return np.frombuffer(items, dtype=items.typecode)

@@ -91,8 +91,6 @@ def new_hash(u: int, range_size: int, seed: int) -> UniversalHash:
     """
     if u < 2:
         raise ValueError("universe size must be >= 2")
-    if range_size < 1:
-        raise ValueError("range_size must be >= 1")
     p = next_prime(max(u, range_size))
     rng = SplitMix64(derive_seed(seed, "universal-hash-multiplier"))
     a = 1 + rng.below(p - 1)

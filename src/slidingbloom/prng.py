@@ -60,11 +60,9 @@ class SplitMix64:
         self.state = seed & MASK64
 
     def next64(self) -> int:
-        s = (self.state + _GAMMA) & MASK64
-        self.state = s
-        s = ((s ^ (s >> 30)) * _MIX1) & MASK64
-        s = ((s ^ (s >> 27)) * _MIX2) & MASK64
-        return s ^ (s >> 31)
+        s = self.state
+        self.state = (s + _GAMMA) & MASK64
+        return splitmix64(s)
 
     def below(self, n: int) -> int:
         """Uniform draw from [0, n) by rejection (no modulo bias).

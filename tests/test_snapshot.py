@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -190,18 +191,64 @@ def test_generation_derived_from_steps():
 
 
 def test_steps_beyond_u64_refused_on_save(tmp_path):
-    f = load_filter(resealed(roundtrip(busy_filter()), STEPS, 2**64 - 1, 8))
-    f.insert(1)
-    assert f.steps == 2**64
-    # refused before the first write: nothing reaches the target
-    target = io.BytesIO()
-    with pytest.raises(SnapshotError, match="64-bit"):
-        save_filter(f, target)
-    assert target.getvalue() == b""
-    path = tmp_path / "refused.snap"
-    with pytest.raises(SnapshotError, match="64-bit"):
-        save_filter(f, path)
-    assert not path.exists()
+    stepped = load_filter(resealed(roundtrip(busy_filter()), STEPS, 2**64 - 1, 8))
+    stepped.insert(1)
+    assert stepped.steps == 2**64
+    rebuilt = busy_filter()
+    rebuilt.rebuilds = 2**64
+    # u is stored as two u64 halves: 2**128 leaves a high half of 2**64
+    wide = SlidingFilter.create(80, 20, 2**-6, u=2**128, seed=17)
+    for f in (stepped, rebuilt, wide):
+        # refused before the first write: nothing reaches the target
+        target = io.BytesIO()
+        with pytest.raises(SnapshotError, match="64-bit"):
+            save_filter(f, target)
+        assert target.getvalue() == b""
+        path = tmp_path / "refused.snap"
+        with pytest.raises(SnapshotError, match="64-bit"):
+            save_filter(f, path)
+        assert not path.exists()
+
+
+def test_widest_universe_round_trip():
+    # u = 2**128 - 1 stores a high u64 half of all ones
+    f = SlidingFilter.create(80, 20, 2**-6, u=2**128 - 1, seed=17)
+    rng = SplitMix64(8)
+    xs = [rng.below(2**128 - 1) for _ in range(300)]
+    for x in xs:
+        f.insert(x)
+    blob = roundtrip(f)
+    g = load_filter(blob)
+    assert g.params == f.params and g.params.u == 2**128 - 1
+    assert roundtrip(g) == blob
+    assert all(g.query(x) for x in xs[-80:])
+
+
+def test_save_copies_no_cells():
+    # the planes reach the target as views of the live cells: the save
+    # allocates far less than the smaller plane
+    f = SlidingFilter.create(20_000, 20_000, 2**-10, seed=3)
+    rng = SplitMix64(1)
+    for _ in range(20_000):
+        f.insert(rng.below(2**64))
+    d = f.dictionary
+    tag_plane = d.capacity_cells * d._tag_width
+
+    class CountingSink:
+        written = 0
+
+        def write(self, data):
+            self.written += memoryview(data).nbytes
+
+    sink = CountingSink()
+    tracemalloc.start()
+    try:
+        save_filter(f, sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.written == len(roundtrip(f))
+    assert peak < tag_plane // 4, (peak, tag_plane)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
