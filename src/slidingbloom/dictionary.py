@@ -141,17 +141,20 @@ def _tabulation(placement_seed: int, quotient_bits: int):
     The quotient is cut into the fewest equal characters of at most
     _MAX_CHAR_BITS bits; table i maps character i to a 64-bit word, the
     words being the splitmix64 stream of a seed derived from the
-    placement seed. One and two characters are unrolled, since every
+    placement seed, table i taking its i-th block of 2**bits words. The
+    stream is drawn straight into the buffer of one typed array, the
+    single table when there is one character; with more, each table is
+    a slice of it. One and two characters are unrolled, since every
     placement pays for this call.
     """
     chars = max(1, -(-quotient_bits // _MAX_CHAR_BITS))
     bits = -(-quotient_bits // chars)
     size = 1 << bits
-    words = splitmix64_block(derive_seed(placement_seed, "tabulation"), chars * size)
-    tables = [array(_TYPECODES[8], words[i * size:(i + 1) * size].tobytes())
-              for i in range(chars)]
+    words = array(_TYPECODES[8], [0]) * (chars * size)
+    splitmix64_block(derive_seed(placement_seed, "tabulation"), chars * size, out=_plane(words))
     if chars == 1:
-        return tables[0].__getitem__
+        return words.__getitem__
+    tables = [words[i * size:(i + 1) * size] for i in range(chars)]
     mask = size - 1
     if chars == 2:
         low, high = tables

@@ -6,13 +6,18 @@ bound epsilon, and universe size u. The analysis behind the formulas
 works with reals; ceilings are applied so that each derived inequality
 still holds for integers. The unbounded-slack case is represented by
 ``math.inf`` (exposed as INFINITE), never by an integer sentinel.
+
+epsilon may be any real number that ``float`` accepts (an ``int``,
+``float``, ``Fraction``, ``Decimal`` or numpy scalar; never a string).
+Every field is derived from its float value, the value stored, and the
+checks compare integers: the float is the ratio num/den of two integers
+(``float.as_integer_ratio``), so n < epsilon*u reads n*den < num*u.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 INFINITE = math.inf
 
@@ -28,12 +33,10 @@ def _is_infinite(m) -> bool:
 def _ceil_log2_inv(epsilon: float) -> int:
     # Smallest L with 2**L >= 1/epsilon, computed exactly from the
     # binary value of epsilon (float log2 can land on the wrong side of
-    # an integer boundary).
-    frac = Fraction(epsilon)
-    level = 0
-    while (frac.numerator << level) < frac.denominator:
-        level += 1
-    return level
+    # an integer boundary): num * 2**L >= den holds exactly when the
+    # integer 2**L reaches ceil(den/num).
+    num, den = float(epsilon).as_integer_ratio()
+    return (-(-den // num) - 1).bit_length()
 
 
 def _check_nme(n, m, epsilon) -> None:
@@ -42,12 +45,13 @@ def _check_nme(n, m, epsilon) -> None:
     if not _is_infinite(m):
         if not isinstance(m, int) or isinstance(m, bool) or m < 1:
             raise InvalidParams(f"slack m must be a positive integer or INFINITE, got {m!r}")
+    # float() would parse a string: refuse text before it gets the chance
     try:
-        eps_ok = 0.0 < float(epsilon) < 1.0
+        eps_ok = not isinstance(epsilon, (str, bytes, bytearray)) and 0.0 < float(epsilon) < 1.0
     except (TypeError, ValueError):
         eps_ok = False
     if not eps_ok:
-        raise InvalidParams(f"epsilon must lie strictly in (0, 1), got {epsilon!r}")
+        raise InvalidParams(f"epsilon must be a real number strictly in (0, 1), got {epsilon!r}")
 
 
 @dataclass(frozen=True)
@@ -89,10 +93,10 @@ class FilterParams:
         _check_nme(self.n, self.m, self.epsilon)
         if not isinstance(self.u, int) or self.u < 2:
             raise InvalidParams(f"universe size u must be an integer >= 2, got {self.u!r}")
-        eps = Fraction(self.epsilon)
-        if Fraction(self.n) >= eps * self.u:
+        num, den = float(self.epsilon).as_integer_ratio()
+        if self.n * den >= num * self.u:
             raise InvalidParams(
-                f"need n < epsilon*u, got n={self.n}, epsilon*u={float(eps * self.u):.6g}"
+                f"need n < epsilon*u, got n={self.n}, epsilon*u={num * self.u / den:.6g}"
             )
         if not (1 <= self.c <= self.n):
             raise InvalidParams(f"c={self.c} outside [1, n]")
@@ -102,7 +106,7 @@ class FilterParams:
             raise InvalidParams(f"generation size g={self.g} exceeds slack m={self.m}")
         if self.n_prime != self.n + self.g:
             raise InvalidParams("n_prime != n + g")
-        if Fraction(self.fp_range) < Fraction(self.n_prime) / eps:
+        if self.fp_range * num < self.n_prime * den:
             raise InvalidParams("fingerprint range below n_prime/epsilon")
         if self.gen_modulus != 2 * self.c + 3:
             raise InvalidParams("generation modulus != 2c + 3")
@@ -115,24 +119,26 @@ def derive(n: int, m, epsilon: float, u: int) -> FilterParams:
 
     c = max(ceil(log2(1/epsilon)), ceil(n/m)), clamped to [1, n]. The
     second term keeps g = ceil(n/c) <= m so expired-but-present
-    elements always fall inside the slack zone.
+    elements always fall inside the slack zone. Every field follows from
+    float(epsilon), the value stored.
     """
     _check_nme(n, m, epsilon)
-    eps = Fraction(epsilon)
+    epsilon = float(epsilon)
+    num, den = epsilon.as_integer_ratio()
 
     slack_term = 1 if _is_infinite(m) else -(-n // m)
     c = max(_ceil_log2_inv(epsilon), slack_term)
     c = min(max(c, 1), n)
     g = -(-n // c)
     n_prime = n + g
-    fp_range = -(-n_prime * eps.denominator // eps.numerator)
+    fp_range = -(-n_prime * den // num)
     gen_modulus = 2 * c + 3
     tag_bits = (gen_modulus - 1).bit_length()
 
     params = FilterParams(
         n=n,
         m=m,
-        epsilon=float(epsilon),
+        epsilon=epsilon,
         u=u,
         c=c,
         g=g,

@@ -10,6 +10,8 @@ is part of the reproducibility contract documented in the README.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 MASK64 = (1 << 64) - 1
@@ -30,12 +32,31 @@ def splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def splitmix64_block(seed: int, count: int) -> np.ndarray:
-    """The first ``count`` outputs of ``SplitMix64(seed)``, computed as one uint64 array."""
-    x = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA) + np.uint64(seed & MASK64)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX1)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX2)
-    return x ^ (x >> np.uint64(31))
+# the splitmix64 constants as numpy scalars, for splitmix64_block
+_GAMMA_U64, _MIX1_U64, _MIX2_U64 = np.uint64(_GAMMA), np.uint64(_MIX1), np.uint64(_MIX2)
+_S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
+
+
+def splitmix64_block(seed: int, count: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The first ``count`` outputs of ``SplitMix64(seed)``, computed as one uint64 array.
+
+    With ``out``, a writable uint64 array of ``count`` items, the words
+    are computed in place there and ``out`` is returned. Either way the
+    passes share one scratch array.
+    """
+    x = np.empty(count, dtype=np.uint64) if out is None else out
+    tmp = np.arange(1, count + 1, dtype=np.uint64)
+    np.multiply(tmp, _GAMMA_U64, out=x)
+    x += np.uint64(seed & MASK64)
+    np.right_shift(x, _S30, out=tmp)
+    x ^= tmp
+    x *= _MIX1_U64
+    np.right_shift(x, _S27, out=tmp)
+    x ^= tmp
+    x *= _MIX2_U64
+    np.right_shift(x, _S31, out=tmp)
+    x ^= tmp
+    return x
 
 
 def fnv1a64(data: bytes) -> int:
@@ -46,9 +67,16 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
+@lru_cache(maxsize=64)
+def _label_word(label: str) -> int:
+    # every filter built hashes the same few labels; the rebuild labels
+    # ("dictionary-rebuild-N") are the only ones that vary
+    return fnv1a64(label.encode("utf-8"))
+
+
 def derive_seed(seed: int, label: str) -> int:
     """Domain-separated child seed: independent streams per label."""
-    return splitmix64((seed & MASK64) ^ fnv1a64(label.encode("utf-8")))
+    return splitmix64((seed & MASK64) ^ _label_word(label))
 
 
 class SplitMix64:

@@ -35,8 +35,9 @@ resumes it at ``steps`` (generation position, boundary count and label
 follow) with the stored dictionary state (the occupancy follows from the
 cells; no per-tag counts are kept). The dictionary is constructed for
 the stored rebuild count, whose seed label derives its placement, so a
-filter that rebuilt draws its placement tables once. The blob is read
-through memoryviews: the checksummed body and the cells are not copied.
+filter that rebuilt draws its placement tables once. The blob, in any
+buffer (bytes, bytearray, memoryview, mmap), is read through one
+memoryview: neither it, the checksummed body nor the cells are copied.
 The key and tag planes are range-checked with whole-array counts and
 assigned once into numpy views of the arrays the constructor allocated,
 which converts the byte order on a big-endian host. A key is
@@ -113,7 +114,7 @@ def _encode(f: SlidingFilter) -> tuple:
     return (header, *f.dictionary.to_buffers())
 
 
-def _decode(data: bytes) -> SlidingFilter:
+def _decode(data: memoryview) -> SlidingFilter:
     if data[:8] != MAGIC:
         raise SnapshotError("bad magic")
     version = int.from_bytes(data[8:10], "little")
@@ -122,7 +123,7 @@ def _decode(data: bytes) -> SlidingFilter:
                             f"version {VERSION} only)")
     if len(data) < _HEADER.size + _CRC.size:
         raise SnapshotError("truncated snapshot")
-    body, (crc,) = memoryview(data)[:-_CRC.size], _CRC.unpack(data[-_CRC.size:])
+    body, (crc,) = data[:-_CRC.size], _CRC.unpack(data[-_CRC.size:])
     if zlib.crc32(body) != crc:
         raise SnapshotError("checksum mismatch: snapshot is corrupted or truncated")
     (_magic, _version, flags, n, m_raw, epsilon, u_low, u_high, seed, c, g, n_prime,
@@ -179,12 +180,21 @@ def _write(parts, out) -> None:
 
 
 def load_filter(source) -> SlidingFilter:
-    """Rebuild a filter from a snapshot file object, path, or bytes."""
-    if isinstance(source, (bytes, bytearray)):
-        data = bytes(source)
-    elif hasattr(source, "read"):
-        data = source.read()
-    else:
-        with open(source, "rb") as fh:
-            data = fh.read()
-    return _decode(data)
+    """Rebuild a filter from a snapshot blob, binary file object, or path.
+
+    Any object with the buffer protocol (``bytes``, ``bytearray``,
+    ``memoryview``, ``mmap``, a numpy array) is the blob itself, read
+    through one memoryview and not copied. Any other object with
+    ``read()`` is a file, read to its end; anything else (a ``str`` or
+    ``os.PathLike``) is a path.
+    """
+    try:
+        view = memoryview(source)
+    except TypeError:
+        if hasattr(source, "read"):
+            data = source.read()
+        else:
+            with open(source, "rb") as fh:
+                data = fh.read()
+        view = memoryview(data)
+    return _decode(view.cast("B"))

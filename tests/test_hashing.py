@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from slidingbloom import UniversalHash, is_prime, new_hash, next_prime
+from slidingbloom.prng import MASK64, derive_seed, fnv1a64, splitmix64
 
 
 def collision_prob_check(p, range_size, x, y):
@@ -117,3 +118,12 @@ def test_eval_pure_and_in_range(x, widen):
     h = new_hash(10007, 10007 // widen, seed=5)
     assert 0 <= h.eval(x) < h.range_size
     assert h.eval(x) == h.eval(x)
+
+
+@given(seed=st.integers(0, 2**70), label=st.text())
+def test_derive_seed_is_splitmix_of_seed_and_label_hash(seed, label):
+    # the label's FNV-1a word is memoized; a repeated call must not change
+    # what the first one derived
+    want = splitmix64((seed & MASK64) ^ fnv1a64(label.encode("utf-8")))
+    assert derive_seed(seed, label) == want
+    assert derive_seed(seed, label) == want

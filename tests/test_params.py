@@ -1,16 +1,21 @@
 import math
+from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from slidingbloom import (
     INFINITE,
+    FilterParams,
     InvalidParams,
     derive,
     lower_bound_bits,
     upper_bound_bits,
 )
+from slidingbloom.params import _ceil_log2_inv, _check_nme
 
 U64 = 2**64
 
@@ -135,3 +140,138 @@ def test_large_slack_equals_infinite(n, eps_pow):
     m = max(1, math.ceil(n / level))
     assert lower_bound_bits(n, m, epsilon) == pytest.approx(
         lower_bound_bits(n, INFINITE, epsilon))
+
+
+# -- the integer checks against the exact rational formulas they replaced --
+
+def fraction_ceil_log2_inv(epsilon):
+    frac = Fraction(epsilon)
+    level = 0
+    while (frac.numerator << level) < frac.denominator:
+        level += 1
+    return level
+
+
+def fraction_validate(p):
+    """FilterParams.validate as written with Fraction (the n, m and
+    epsilon checks are shared code)."""
+    _check_nme(p.n, p.m, p.epsilon)
+    if not isinstance(p.u, int) or p.u < 2:
+        raise InvalidParams(f"universe size u must be an integer >= 2, got {p.u!r}")
+    eps = Fraction(p.epsilon)
+    if Fraction(p.n) >= eps * p.u:
+        raise InvalidParams(f"need n < epsilon*u, got n={p.n}, epsilon*u={float(eps * p.u):.6g}")
+    if not (1 <= p.c <= p.n):
+        raise InvalidParams(f"c={p.c} outside [1, n]")
+    if p.g * p.c < p.n:
+        raise InvalidParams(f"g*c={p.g * p.c} < n={p.n}")
+    if p.m != INFINITE and p.g > p.m:
+        raise InvalidParams(f"generation size g={p.g} exceeds slack m={p.m}")
+    if p.n_prime != p.n + p.g:
+        raise InvalidParams("n_prime != n + g")
+    if Fraction(p.fp_range) < Fraction(p.n_prime) / eps:
+        raise InvalidParams("fingerprint range below n_prime/epsilon")
+    if p.gen_modulus != 2 * p.c + 3:
+        raise InvalidParams("generation modulus != 2c + 3")
+    if (1 << p.tag_bits) < p.gen_modulus:
+        raise InvalidParams("tag_bits too small for generation modulus")
+
+
+def fraction_derive(n, m, epsilon, u):
+    _check_nme(n, m, epsilon)
+    eps = Fraction(epsilon)
+    c = max(fraction_ceil_log2_inv(epsilon), 1 if m == INFINITE else -(-n // m))
+    c = min(max(c, 1), n)
+    g = -(-n // c)
+    n_prime = n + g
+    params = FilterParams(
+        n=n, m=m, epsilon=epsilon, u=u, c=c, g=g, n_prime=n_prime,
+        fp_range=-(-n_prime * eps.denominator // eps.numerator),
+        gen_modulus=2 * c + 3, tag_bits=(2 * c + 2).bit_length(),
+    )
+    fraction_validate(params)
+    return params
+
+
+def outcome(call, *args):
+    """What a call returns, or the message of the InvalidParams it raises."""
+    try:
+        return call(*args)
+    except InvalidParams as exc:
+        return f"refused: {exc}"
+
+
+EPSILONS = st.one_of(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.integers(1, 60).map(lambda k: 2.0 ** -k),
+    st.fractions(0, 1).filter(lambda f: 0 < f < 1).map(float),
+)
+UNIVERSES = st.one_of(st.integers(2, 10**6), st.integers(2, 2**130))
+SLACKS = st.one_of(st.just(INFINITE), st.integers(1, 10**6))
+
+
+@given(epsilon=EPSILONS)
+def test_ceil_log2_inv_matches_fraction_formula(epsilon):
+    assert _ceil_log2_inv(epsilon) == fraction_ceil_log2_inv(epsilon)
+
+
+@given(n=st.integers(1, 10**6), m=SLACKS, epsilon=EPSILONS, u=UNIVERSES)
+def test_derive_matches_fraction_formulas(n, m, epsilon, u):
+    assert outcome(derive, n, m, epsilon, u) == outcome(fraction_derive, n, m, epsilon, u)
+
+
+FIELDS = ("c", "g", "n_prime", "fp_range", "gen_modulus", "tag_bits")
+
+
+@given(n=st.integers(1, 10**5), m=SLACKS, eps_pow=st.integers(1, 40),
+       field=st.sampled_from(FIELDS), delta=st.integers(-3, 3))
+def test_validate_matches_fraction_formulas(n, m, eps_pow, field, delta):
+    # a valid parameter set with one field nudged: both sets of formulas
+    # accept or refuse it, with the same message
+    p = derive(n, m, 2.0 ** -eps_pow * 1.5, 2**64)
+    nudged = replace(p, **{field: max(0, getattr(p, field) + delta)})
+    assert outcome(nudged.validate) == outcome(fraction_validate, nudged)
+
+
+@given(odd=st.integers(0, 500).map(lambda k: 2 * k + 1), j=st.integers(1, 70),
+       t=st.integers(1, 1000))
+def test_exact_boundaries_match_fraction_formulas(odd, j, t):
+    # epsilon = odd / 2**j, exact in binary once odd < 2**j
+    if odd >= 1 << j:
+        odd = (1 << j) - 1
+    epsilon = odd / 2**j
+    # n == epsilon * u exactly: refused; one more universe element: accepted
+    n, u = odd * t, t << j
+    for universe in (u - 1, u, u + 1):
+        got = outcome(derive, n, INFINITE, epsilon, universe)
+        assert got == outcome(fraction_derive, n, INFINITE, epsilon, universe)
+        assert isinstance(got, str) == (universe <= u)
+    # fp_range == n_prime / epsilon exactly: accepted; one less: refused
+    p = derive(odd * t, INFINITE, epsilon, 2**200)
+    exact = p.n_prime * 2**j
+    if exact % odd == 0:
+        for fp_range in (exact // odd - 1, exact // odd, exact // odd + 1):
+            q = replace(p, fp_range=fp_range)
+            assert outcome(q.validate) == outcome(fraction_validate, q)
+        assert p.fp_range == exact // odd
+        with pytest.raises(InvalidParams, match="fingerprint range"):
+            replace(p, fp_range=exact // odd - 1).validate()
+
+
+# -- epsilon is a real number, every field derived from its float value --
+
+@pytest.mark.parametrize("epsilon", [Fraction(1, 3), Fraction(1, 10), Decimal("0.1"),
+                                     Decimal(1) / Decimal(3), np.float32(0.1), np.float64(0.1)])
+def test_exact_epsilon_gives_the_params_of_its_float(epsilon):
+    p = derive(100, 10, epsilon, 2**64)
+    assert p == derive(100, 10, float(epsilon), 2**64)
+    assert type(p.epsilon) is float
+    p.validate()
+
+
+@pytest.mark.parametrize("epsilon", ["0.1", b"0.1", bytearray(b"0.1"), None, 1j])
+def test_epsilon_must_be_a_real_number(epsilon):
+    with pytest.raises(InvalidParams, match="epsilon"):
+        derive(100, 10, epsilon, 2**64)
+    with pytest.raises(InvalidParams, match="epsilon"):
+        upper_bound_bits(100, 10, epsilon)

@@ -1,9 +1,11 @@
 import io
 import json
+import mmap
 import tracemalloc
 import zlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -87,6 +89,37 @@ def test_rejects_garbage():
     mangled[9] = 0xFF  # version
     with pytest.raises(SnapshotError):
         load_filter(bytes(mangled))
+
+
+@pytest.mark.parametrize("as_blob", [bytearray, memoryview, lambda b: memoryview(bytearray(b)),
+                                     lambda b: np.frombuffer(b, dtype=np.uint8)],
+                         ids=["bytearray", "memoryview", "bytearray-memoryview", "numpy"])
+def test_load_reads_any_buffer(as_blob):
+    f = busy_filter()
+    blob = roundtrip(f)
+    g = load_filter(as_blob(blob))
+    assert roundtrip(g) == blob
+    assert answers(g, PROBES) == answers(f, PROBES)
+
+
+def test_load_reads_an_mmap(tmp_path):
+    f = busy_filter()
+    path = tmp_path / "filter.snap"
+    f.save(path)
+    with open(path, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mapped:
+        g = load_filter(mapped)
+    assert roundtrip(g) == roundtrip(f)
+    assert answers(g, PROBES) == answers(f, PROBES)
+    assert roundtrip(load_filter(path)) == roundtrip(f)  # a PathLike stays a path
+
+
+def test_damaged_memoryview_refused():
+    blob = bytearray(roundtrip(busy_filter()))
+    blob[len(blob) // 2] ^= 0x10
+    with pytest.raises(SnapshotError, match="checksum"):
+        load_filter(memoryview(blob))
+    with pytest.raises(SnapshotError, match="truncated"):
+        load_filter(memoryview(blob)[:20])
 
 
 def test_eviction_continues_identically_after_reload():
