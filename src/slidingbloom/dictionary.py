@@ -104,9 +104,9 @@ class InsertOverflow(RuntimeError):
 
     Signals an unlucky placement seed (made negligible by the load
     target). No cell has changed, and the element to insert, in no
-    cell, has fingerprint ``fp`` and tag ``tag``. The owner should
-    rebuild with a fresh seed, inserting that element, rather than
-    continue.
+    cell, has fingerprint ``fp`` and tag ``tag``. ``SlidingFilter``
+    treats it as final and refuses all further use, since it could
+    otherwise answer No for that element.
     """
 
     def __init__(self, message: str, fp: int | None = None, tag: int | None = None):
@@ -261,16 +261,6 @@ class Dictionary:
         q, r = divmod(fp, nb)
         h = self._mix(q)
         return (self._mult1 * r + h) % nb, (self._mult2 * r + h // nb) % nb
-
-    def _fingerprint(self, key: int, bucket: int) -> int:
-        """Invert the placement map of the key's side: the fp it stands for in bucket."""
-        q = key >> 1
-        h = self._mix(q)
-        if key & 1:
-            r = (bucket - h // self.num_buckets) * self._inv2 % self.num_buckets
-        else:
-            r = (bucket - h) * self._inv1 % self.num_buckets
-        return q * self.num_buckets + r
 
     # -- core operations ----------------------------------------------------
 
@@ -502,13 +492,6 @@ class Dictionary:
             overhead_bits=overhead,
             total_bits=cells_total + overhead,
         )
-
-    def entries(self):
-        """Yield (cell_index, fingerprint, tag) for every occupied cell."""
-        empty = self._empty
-        for i, key in enumerate(self._keys):
-            if key != empty:
-                yield i, self._fingerprint(key, i // BUCKET_SIZE), self._tags[i]
 
     # -- bulk codec -------------------------------------------------------------
 

@@ -14,6 +14,11 @@ per-operation work bounded. Inserts also reclaim the stale cells of a
 bucket they need room in, so expired cells never block an insert, but
 the label guarantee rests on the scanner alone.
 
+An insert whose eviction search finds no room (``InsertOverflow``; not
+seen at the 0.9 load target) is final: its element is in no cell, so
+the filter raises ``UnrecoverableOverflow`` then and on every later use
+rather than answer No inside the window.
+
 Queries take constant dictionary work and never answer 'No' for an
 element inside the window. Elements must be ``int`` values in [0, u);
 anything else is rejected before any state changes.
@@ -23,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dictionary import Dictionary, InsertOverflow, never_stale
+from .dictionary import Dictionary, InsertOverflow
 from .hashing import UniversalHash, new_hash
 from .params import FilterParams, derive
 from .prng import MASK64, derive_seed
@@ -35,13 +40,10 @@ DEFAULT_UNIVERSE = 1 << 64
 # graph out of that regime at a few hundred bits of cost
 MIN_DICT_ELEMENTS = 64
 
-# overflow recovery: rebuild with a fresh placement seed at most this
-# many times per insert before giving up and surfacing the error
-MAX_REBUILDS_PER_INSERT = 3
-
 
 class UnrecoverableOverflow(InsertOverflow):
-    """Every reseeded rebuild after an insert overflow failed.
+    """An insert found no room for its element within the eviction
+    search budget.
 
     The element being inserted is in no cell, so the filter could
     answer No inside the window. It refuses further use: this is
@@ -91,7 +93,6 @@ class CostReport:
     query_cells_mean: float
     max_kick_chain: int
     scan_width: int
-    rebuilds: int
 
 
 class SlidingFilter:
@@ -105,18 +106,6 @@ class SlidingFilter:
         dictionary's placement both derive from ``seed``, which is taken
         modulo 2**64.
         """
-        self._build(params, seed, rebuilds=0)
-
-    @classmethod
-    def _rebuilt(cls, params: FilterParams, seed: int, rebuilds: int) -> "SlidingFilter":
-        """An empty filter whose dictionary has the placement of rebuild
-        number ``rebuilds``, so a snapshot of a filter that rebuilt
-        restores into it without drawing the placement tables twice."""
-        f = cls.__new__(cls)
-        f._build(params, seed, rebuilds)
-        return f
-
-    def _build(self, params: FilterParams, seed: int, rebuilds: int) -> None:
         params.validate()
         self.params = params
         self.seed = seed & MASK64
@@ -124,8 +113,13 @@ class SlidingFilter:
         self.hash: UniversalHash = new_hash(
             params.u, params.fp_range, derive_seed(seed, "fingerprint")
         )
-        self.rebuilds = rebuilds
-        self._dict = self._new_dictionary()
+        self._dict = Dictionary(
+            element_capacity=max(params.dict_capacity, MIN_DICT_ELEMENTS),
+            fp_range=params.fp_range,
+            tag_bits=params.tag_bits,
+            seed=derive_seed(self.seed, "dictionary"),
+            tag_range=params.gen_modulus,
+        )
 
         self.steps = 0
 
@@ -145,20 +139,8 @@ class SlidingFilter:
         self._q_max = 0
         self.boundaries = 0
 
-    def _new_dictionary(self) -> Dictionary:
-        """A dictionary seeded for the current rebuild count."""
-        label = f"dictionary-rebuild-{self.rebuilds}" if self.rebuilds else "dictionary"
-        return Dictionary(
-            element_capacity=max(self.params.dict_capacity, MIN_DICT_ELEMENTS),
-            fp_range=self.params.fp_range,
-            tag_bits=self.params.tag_bits,
-            seed=derive_seed(self.seed, label),
-            tag_range=self.params.gen_modulus,
-        )
-
     def restore(self, steps: int, cells) -> None:
-        """Resume saved state in this freshly built filter, whose rebuild
-        count (``_rebuilt``) is already the saved one.
+        """Resume saved state in this freshly built filter.
 
         ``steps`` is the stream position, from which the generation
         position, boundary count and label follow; ``cells`` is the
@@ -205,8 +187,12 @@ class SlidingFilter:
         try:
             d.insert_or_update(fp, self.gen_label, stale)
         except InsertOverflow as exc:
-            self._recover_overflow(exc)
-            d = self._dict
+            error = UnrecoverableOverflow(
+                f"{exc}; an element is lost and the filter refuses further use",
+                exc.fp, exc.tag,
+            )
+            self._dict = _Unusable(error)
+            raise error from None
         cells = scan + d.last_op_cells
         kicks = d.last_op_kicks
 
@@ -224,38 +210,6 @@ class SlidingFilter:
             self._ins_max = cells
         if kicks == 0 and cells > self._ins_max_nokick:
             self._ins_max_nokick = cells
-
-    def _recover_overflow(self, overflow: InsertOverflow) -> None:
-        """Rehash into a reseeded dictionary after a failed eviction search.
-
-        The failed insert left every cell as it was; its element is
-        inserted with the surviving live cells (stale ones are dropped,
-        which only helps). Deterministic: retry seeds derive from the
-        master seed and the rebuild count. After MAX_REBUILDS_PER_INSERT
-        consecutive failures the element stays lost, so the filter
-        raises UnrecoverableOverflow now and on every later use.
-        """
-        stale = self._stale
-        survivors = [(fp, tag) for _idx, fp, tag in self._dict.entries() if tag not in stale]
-        survivors.append((overflow.fp, overflow.tag))
-        for _ in range(MAX_REBUILDS_PER_INSERT):
-            self.rebuilds += 1
-            fresh = self._new_dictionary()
-            try:
-                for fp, tag in survivors:
-                    fresh.insert_or_update(fp, tag, never_stale)
-            except InsertOverflow:
-                continue
-            self._dict = fresh
-            return
-        error = UnrecoverableOverflow(
-            f"insert still failing after {MAX_REBUILDS_PER_INSERT} reseeded rebuilds "
-            f"(element capacity {self._dict.element_capacity}); an element is lost "
-            f"and the filter refuses further use",
-            overflow.fp, overflow.tag,
-        )
-        self._dict = _Unusable(error)
-        raise error
 
     def _advance_label(self) -> None:
         g_mod = self.params.gen_modulus
@@ -313,7 +267,6 @@ class SlidingFilter:
             query_cells_mean=(self._q_sum / self._q_n) if self._q_n else 0.0,
             max_kick_chain=self._dict.max_kick_chain,
             scan_width=self._scan_width,
-            rebuilds=self.rebuilds,
         )
 
     @property

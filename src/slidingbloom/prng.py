@@ -69,8 +69,7 @@ def fnv1a64(data: bytes) -> int:
 
 @lru_cache(maxsize=64)
 def _label_word(label: str) -> int:
-    # every filter built hashes the same few labels; the rebuild labels
-    # ("dictionary-rebuild-N") are the only ones that vary
+    # every filter built hashes the same few constant labels
     return fnv1a64(label.encode("utf-8"))
 
 

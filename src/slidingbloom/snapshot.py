@@ -2,10 +2,10 @@
 
 A snapshot holds only what a filter cannot derive: the user inputs and
 the derived parameters (checked by ``FilterParams.validate``), the
-seed, the stream position, the rebuild count, and the dictionary's
-scan cursor and cells. Every field up to the dictionary section is
-declared once, by the struct format ``_HEADER`` ("<8sHBQQdQQQQQQQQQBQQ":
-little-endian, no padding, 124 bytes), in this order:
+seed, the stream position, and the dictionary's scan cursor and cells.
+Every field up to the dictionary section is declared once, by the
+struct format ``_HEADER`` ("<8sHBQQdQQQQQQQQQBQQ": little-endian, no
+padding, 124 bytes), in this order:
 
     magic              8s    b"SBFSNAP1"
     version            H     u16 (currently 4)
@@ -20,7 +20,7 @@ little-endian, no padding, 124 bytes), in this order:
     gen_modulus        Q     u64
     tag_bits           B     u8
     steps              Q     u64 (elements inserted so far)
-    rebuilds           Q     u64
+    reserved           Q     u64, 0 (was the rebuild count)
 
 A u128 split low half first has exactly the bytes of the little-endian
 u128. The dictionary section follows, up to the trailer
@@ -33,11 +33,9 @@ Loading builds the filter through its constructor, which derives the
 hash, the scan width and the dictionary's geometry and cell widths, then
 resumes it at ``steps`` (generation position, boundary count and label
 follow) with the stored dictionary state (the occupancy follows from the
-cells; no per-tag counts are kept). The dictionary is constructed for
-the stored rebuild count, whose seed label derives its placement, so a
-filter that rebuilt draws its placement tables once. The blob, in any
-buffer (bytes, bytearray, memoryview, mmap), is read through one
-memoryview: neither it, the checksummed body nor the cells are copied.
+cells; no per-tag counts are kept). The blob, in any buffer (bytes,
+bytearray, memoryview, mmap), is read through one memoryview: neither
+it, the checksummed body nor the cells are copied.
 The key and tag planes are range-checked with whole-array counts and
 assigned once into numpy views of the arrays the constructor allocated,
 which converts the byte order on a big-endian host. A key is
@@ -57,14 +55,19 @@ It runs before the first write, so a refused save writes nothing.
 
 Loading checks the magic, the version, the length and the trailer,
 unpacks the header in one call, then checks every stored field: flags
-in range, m = 0 when the slack is infinite, the parameters valid, the
-dictionary section exactly as long as the parameters make it, and the
-scan cursor, the tags and the quotients in range, with a zero tag in
-every empty cell. A blob that fails any check raises SnapshotError.
+in range, m = 0 when the slack is infinite, the reserved field 0, the
+parameters valid, the dictionary section exactly as long as the
+parameters make it, and the scan cursor, the tags and the quotients in
+range, with a zero tag in every empty cell. A blob that fails any check raises SnapshotError.
 Versions 1 to 3 are refused: version 1 cells were placed by an earlier
 placement function, version 2 stored derived fields in other places,
 and version 3 stored a mode byte, the dictionary's placement seed and
-the state of a random eviction walk that no longer exists.
+the state of a random eviction walk that no longer exists. The reserved
+field once counted reseeded rebuilds, which placed the cells under
+another seed after a failed eviction search. A filter refuses use after
+such a failure instead, so a blob whose reserved field is not 0 holds
+cells this build cannot place, and is refused before the filter is
+built.
 
 Integrity scope: the CRC32 catches accidental damage, such as a flipped
 bit or a truncated file. It is not a signature. A blob resealed with a
@@ -106,7 +109,7 @@ def _encode(f: SlidingFilter) -> tuple:
             MAGIC, VERSION, 1 if infinite else 0, p.n, 0 if infinite else p.m,
             p.epsilon, p.u & MASK64, p.u >> 64, f.seed, p.c, p.g, p.n_prime,
             p.fp_range & MASK64, p.fp_range >> 64, p.gen_modulus, p.tag_bits,
-            f.steps, f.rebuilds,
+            f.steps, 0,
         )
     except struct.error as exc:
         raise SnapshotError(f"a field exceeds its snapshot width (64-bit; 128-bit for "
@@ -127,11 +130,14 @@ def _decode(data: memoryview) -> SlidingFilter:
     if zlib.crc32(body) != crc:
         raise SnapshotError("checksum mismatch: snapshot is corrupted or truncated")
     (_magic, _version, flags, n, m_raw, epsilon, u_low, u_high, seed, c, g, n_prime,
-     fp_low, fp_high, gen_modulus, tag_bits, steps, rebuilds) = _HEADER.unpack_from(body)
+     fp_low, fp_high, gen_modulus, tag_bits, steps, reserved) = _HEADER.unpack_from(body)
     if flags > 1:
         raise SnapshotError(f"flags {flags} out of range")
     if flags and m_raw:
         raise SnapshotError(f"slack {m_raw} stored for an infinite-slack filter")
+    if reserved:
+        raise SnapshotError(f"reserved field rebuilds holds {reserved}, not 0: the cells "
+                            f"of a filter that rebuilt cannot be placed")
     cells = body[_HEADER.size:]
 
     params = FilterParams(
@@ -145,7 +151,7 @@ def _decode(data: memoryview) -> SlidingFilter:
         raise SnapshotError(f"dictionary section of {len(cells)} bytes is too short "
                             f"for element capacity {params.dict_capacity}")
     try:
-        f = SlidingFilter._rebuilt(params, seed, rebuilds)
+        f = SlidingFilter(params, seed)
     except InvalidParams as exc:
         raise SnapshotError(f"snapshot parameters invalid: {exc}") from None
     try:

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from slidingbloom import BUCKET_SIZE, Dictionary, InsertOverflow, dictionary, never_stale
 from slidingbloom.prng import SplitMix64, derive_seed, splitmix64_block
 
-from cell_audit import check_consistency
+from cell_audit import check_consistency, entries
 
 
 def make(cap=100, fp_range=100_000, tag_bits=4, seed=0, **kw):
@@ -62,7 +62,7 @@ def test_match_in_bucket_2_is_updated_in_place():
     while True:
         fp = rng.below(10**6)
         d.insert_or_update(fp, 1, never_stale)
-        cell = next(i for i, f, _t in d.entries() if f == fp)
+        cell = next(i for i, f, _t in entries(d) if f == fp)
         b1, b2 = d.buckets_for(fp)
         if cell // BUCKET_SIZE == b2 != b1:
             break
@@ -71,7 +71,7 @@ def test_match_in_bucket_2_is_updated_in_place():
     assert d.occupancy() == 1
     d.insert_or_update(fp, 3, never_stale)
     assert d.occupancy() == 1 and d.tag_count(3) == 1
-    assert [(i, f) for i, f, _t in d.entries()] == [(cell, fp)]
+    assert [(i, f) for i, f, _t in entries(d)] == [(cell, fp)]
     check_consistency(d)
 
 
@@ -80,7 +80,7 @@ def test_scan_frees_a_stale_cell_beside_an_empty_one_while_0_is_stale():
     # stale tag while 0 is stale; the occupied cell beside it must go
     d = make()
     d.insert_or_update(42, 0, never_stale)
-    (cell, _fp, _tag), = d.entries()
+    (cell, _fp, _tag), = entries(d)
     if cell:
         d.scan_step(cell, never_stale)
     assert d.scan_step(2, {0}) == 1
@@ -204,7 +204,7 @@ def test_stale_cells_never_block_insert():
     b1, b2 = d.buckets_for(target)
 
     def filled(bucket):
-        return sum(1 for i, _fp, _t in d.entries() if i // BUCKET_SIZE == bucket)
+        return sum(1 for i, _fp, _t in entries(d) if i // BUCKET_SIZE == bucket)
 
     rng = SplitMix64(4)
     while filled(b1) < BUCKET_SIZE or filled(b2) < BUCKET_SIZE:
@@ -255,7 +255,7 @@ def test_quotient_decode_roundtrip():
         fp = rng.below(123_457)
         inserted.add(fp)
         d.insert_or_update(fp, 1, never_stale)
-    stored = {fp for _i, fp, _t in d.entries()}
+    stored = {fp for _i, fp, _t in entries(d)}
     assert stored == inserted
 
 
@@ -281,7 +281,7 @@ def test_random_op_sequences_keep_invariants(ops):
             assert got == live.get(fp)
     check_consistency(d)
     assert d.occupancy() == len(live)
-    assert {f for _i, f, _t in d.entries()} == set(live)
+    assert {f for _i, f, _t in entries(d)} == set(live)
 
 
 def test_tabulation_block_matches_scalar_generator():
@@ -329,7 +329,7 @@ def test_insert_overflow_carries_the_homeless_element(monkeypatch):
             inserted.append(rng.below(10**9))
             d.insert_or_update(inserted[-1], len(inserted) % 7, never_stale)
     homeless = info.value
-    stored = {fp: tag for _i, fp, tag in d.entries()}
+    stored = {fp: tag for _i, fp, tag in entries(d)}
     assert homeless.fp not in stored
     stored[homeless.fp] = homeless.tag
     assert set(stored) == set(inserted)
@@ -364,7 +364,7 @@ def wide_dictionary():
 def test_wide_quotients_use_exact_keys():
     d, fps = wide_dictionary()
     assert isinstance(d._keys, list)
-    assert {fp for _i, fp, _t in d.entries()} == fps
+    assert {fp for _i, fp, _t in entries(d)} == fps
     assert all(d.member(fp, never_stale) is not None for fp in fps)
     d.scan_step(d.capacity_cells, {0})
     expired = set(sorted(fps)[::20])
@@ -395,7 +395,7 @@ def test_codec_roundtrip(fp_range):
     e = make(cap=300, fp_range=fp_range, tag_bits=5, seed=5)
     e.restore(blob)
     assert saved(e) == blob
-    assert list(e.entries()) == list(d.entries())
+    assert list(entries(e)) == list(entries(d))
     assert e._cursor == d._cursor
     assert e.occupancy() == d.occupancy()
     assert [e.tag_count(t) for t in range(e.tag_range)] == \
@@ -418,7 +418,7 @@ def codec_range_checks(fp_range):
     d = filled(fp_range)
     blob = saved(d)
     keys_at, tags_at = _cell_planes(d)
-    occupied = next(i for i, _fp, _t in d.entries())
+    occupied = next(i for i, _fp, _t in entries(d))
     free = next(i for i in range(d.capacity_cells) if d._keys[i] == d._empty)
     kw, tw = d._key_width, d._tag_width
 

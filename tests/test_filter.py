@@ -12,14 +12,14 @@ from slidingbloom import (
     InsertOverflow,
     InvalidParams,
     SlidingFilter,
-    UnrecoverableOverflow,
     dictionary,
     never_stale,
 )
 from slidingbloom.prng import SplitMix64
 
-from cell_audit import check_consistency
+from cell_audit import check_consistency, entries
 from checked_filter import CheckedFilter, LabelReuseViolation, is_active_tag
+from overflow_run import assert_refuses_every_use, run_to_overflow
 from reference_model import CRITERION_6_CONFIGS, sweep_mismatches
 from stream_patterns import all_same, burst_edges, distinct, random_pool, round_robin
 from window_oracle import WindowOracle
@@ -239,60 +239,52 @@ def test_cost_report_bounds():
     assert cost.insert_cells_mean >= 2  # scan alone touches that much
 
 
-def test_overflow_recovery_keeps_every_window_element(monkeypatch):
-    # a short search budget forces reseeded rebuilds; the element whose
-    # insert failed must survive each of them
+def overflow_stream(seed, length=12_000):
+    rng = SplitMix64(seed + 100)
+    return [rng.below(2**63) for _ in range(length)]
+
+
+def test_window_elements_answered_until_overflow(monkeypatch):
+    # a short search budget makes an insert overflow; until it does, no
+    # element of the window answers No, and after it the filter refuses
+    # every use
     monkeypatch.setattr(dictionary, "MAX_SEARCH", 8)
-    n = m = 2000
-    rebuilds = 0
+    overflows = 0
     for seed in range(6):
-        f = SlidingFilter.create(n, m, 2**-8, seed=seed)
-        o = WindowOracle(n, m)
-        rng = SplitMix64(seed + 100)
-        seen = 0
-        for t in range(12_000):
-            x = rng.below(2**63)
-            f.insert(x)
-            o.push(x)
-            if f.rebuilds != seen or t % 1000 == 999:
-                seen = f.rebuilds
-                missed = [w for w in o.window_distinct() if not f.query(w)]
-                assert not missed, (seed, t, len(missed))
-        check_consistency(f.dictionary)
-        rebuilds += f.rebuilds
-    assert rebuilds >= 6
+        stream = overflow_stream(seed)
+        run = run_to_overflow(
+            lambda: SlidingFilter.create(2000, 2000, 2**-8, seed=seed), stream, check_every=500)
+        if run is not None:
+            t, _error, f, _served = run
+            assert_refuses_every_use(f, stream[t])
+            overflows += 1
+    assert overflows >= 5
 
 
 def test_unrecoverable_overflow_refuses_further_use(monkeypatch):
-    # a budget of 6 buckets also sinks the reseeded rebuilds: the element
-    # being inserted is lost, so the filter must not keep serving
+    # the element being inserted is lost, so the filter must not keep
+    # serving: the failing insert and every later use raise
     monkeypatch.setattr(dictionary, "MAX_SEARCH", 6)
-    f = SlidingFilter.create(2000, 2000, 2**-8, seed=0)
-    with pytest.raises(UnrecoverableOverflow) as info:
-        for t in range(20_000):
-            f.insert(t * 1000003 + 7)
-    assert t == 2994 and isinstance(info.value, InsertOverflow)
-    assert (info.value.fp, info.value.tag) == (f.hash.eval(t * 1000003 + 7), f.gen_label)
-    target = io.BytesIO()
-    for use in (lambda: f.insert(t * 1000003 + 7), lambda: f.query(7),
-                lambda: f.save(target)):
-        with pytest.raises(UnrecoverableOverflow):
-            use()
-    assert target.getvalue() == b""  # refused before the first write
+    stream = [t * 1000003 + 7 for t in range(20_000)]
+    t, error, f, _served = run_to_overflow(
+        lambda: SlidingFilter.create(2000, 2000, 2**-8, seed=0), stream, check_every=500)
+    assert t == 2994 and isinstance(error, InsertOverflow)
+    assert_refuses_every_use(f, stream[t])
+    assert_refuses_every_use(f, 7)
 
 
 def assert_counts_match_cells(f):
     """tag_count for every tag, occupancy and active_count against a
-    sweep of entries(); returns the swept per-tag counts."""
+    sweep of the decoded cells; returns the swept per-tag counts."""
     d = f.dictionary
-    swept = Counter(tag for _i, _fp, tag in d.entries())
+    swept = Counter(tag for _i, _fp, tag in entries(d))
     assert [d.tag_count(t) for t in range(d.tag_range)] == [swept[t] for t in range(d.tag_range)]
     assert d.occupancy() == sum(swept.values())
     assert f.active_count() == sum(k for t, k in swept.items() if is_active_tag(f, t))
     return swept
 
 
-def test_on_demand_counts_match_a_sweep_of_the_cells(monkeypatch):
+def test_on_demand_counts_match_a_sweep_of_the_cells():
     # the counts are sweeps of the cell planes; tag 0 is the case a plain
     # count of the tags gets wrong, since every empty cell carries tag 0
     f = SlidingFilter.create(500, 500, 2**-8, seed=4)
@@ -319,13 +311,7 @@ def test_on_demand_counts_match_a_sweep_of_the_cells(monkeypatch):
     assert fresh > f.dictionary.capacity_cells
     assert f.boundaries > 2 * f.params.gen_modulus
 
-    # a forced rebuild, then a save/load round trip of the rebuilt filter
-    monkeypatch.setattr(dictionary, "MAX_SEARCH", 8)
-    f = SlidingFilter.create(2000, 2000, 2**-8, seed=0)
-    rng = SplitMix64(100)
-    while f.rebuilds == 0:
-        f.insert(rng.below(2**63))
-    swept = assert_counts_match_cells(f)
+    # a save/load round trip keeps every count
     g = SlidingFilter.load(io.BytesIO(_snapshot(f)))
     assert assert_counts_match_cells(g) == swept
 

@@ -5,9 +5,11 @@ made the same placement, reclaim and eviction decisions. A change that
 only makes the code faster keeps every one of them; a failure here
 means a decision changed (another cell, another eviction path, another
 reclaim). Each stream wraps the label counter at least twice and moves
-cells along eviction paths; one lowers MAX_SEARCH so that the filter
-rebuilds. The answers depend only on which fingerprints are stored, so
-an eviction policy that loses none keeps their digests.
+cells along eviction paths. The answers depend only on which
+fingerprints are stored, so an eviction policy that loses none keeps
+their digests. One more stream lowers MAX_SEARCH until an insert
+overflows; the insert that fails, and the last state the filter served
+before it refused all use, are pinned too.
 """
 
 import dataclasses
@@ -16,10 +18,11 @@ import io
 
 import pytest
 
-from slidingbloom import INFINITE, SlidingFilter, dictionary
+from slidingbloom import INFINITE, SlidingFilter, dictionary, load_filter
 from slidingbloom.prng import SplitMix64
 
 from cell_audit import check_consistency
+from overflow_run import assert_refuses_every_use, run_to_overflow
 
 
 def drive(f, length, seed, repeat_every):
@@ -45,11 +48,10 @@ def drive(f, length, seed, repeat_every):
     return bytes(answers)
 
 
-# name: (n, m, epsilon, seed, length, repeat_every, MAX_SEARCH or None)
+# name: (n, m, epsilon, seed, length, repeat_every)
 STREAMS = {
-    "deamortized": (2000, INFINITE, 2**-8, 1, 10_000, 4, None),
-    "tiny-eps": (500, INFINITE, 2**-20, 3, 3000, 4, None),
-    "rebuilt": (2000, 2000, 2**-8, 2, 12_000, 0, 8),
+    "deamortized": (2000, INFINITE, 2**-8, 1, 10_000, 4),
+    "tiny-eps": (500, INFINITE, 2**-20, 3, 3000, 4),
 }
 
 # name: (sha256 of save(), sha256 of the answers, step_cost_stats() fields)
@@ -57,26 +59,19 @@ PINNED = {
     "deamortized": (
         "5b75f2422dc815f162b2997442d15d21184dc399e18c325ae24b5e13adb1c781",
         "139f1e145076c0567be7ceb4fd536c5a88b3d673dd57cf92f5019bd76a414480",
-        (10000, 54, 10, 10.6172, 10000, 8, 6.4964, 2, 2, 0),
+        (10000, 54, 10, 10.6172, 10000, 8, 6.4964, 2, 2),
     ),
     "tiny-eps": (
         "15973e9d4bbfdbb0671f99bcef99911793ebe3c2a610a55e29d3f71af938ff70",
         "b5c3195fc7d6a712ff89c77f4f0d5a8568e6dd7e24c960c38b9f88a05d63763a",
-        (3000, 50, 10, 10.836, 3000, 8, 6.612, 2, 2, 0),
-    ),
-    "rebuilt": (
-        "f0cbea6a2be70f091ff114dcfb469edd12ade1f3a2c819c8294c81d68deb68ad",
-        "643ef9f423f7a064c2656a5f58330589f309c8d33410f72da03f6994578792a9",
-        (12000, 134, 10, 14.236, 12000, 8, 6.574333333333334, 2, 2, 1),
+        (3000, 50, 10, 10.836, 3000, 8, 6.612, 2, 2),
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(STREAMS))
-def test_stream_decisions_pinned(name, monkeypatch):
-    n, m, eps, seed, length, repeat_every, max_search = STREAMS[name]
-    if max_search is not None:
-        monkeypatch.setattr(dictionary, "MAX_SEARCH", max_search)
+def test_stream_decisions_pinned(name):
+    n, m, eps, seed, length, repeat_every = STREAMS[name]
     f = SlidingFilter.create(n, m, eps, seed=seed)
     answers = drive(f, length, seed, repeat_every)
     blob = io.BytesIO()
@@ -85,9 +80,32 @@ def test_stream_decisions_pinned(name, monkeypatch):
 
     assert f.boundaries >= 2 * f.params.gen_modulus  # the label counter wrapped twice
     assert stats.max_kick_chain > 0
-    assert (f.rebuilds > 0) == (max_search is not None)
     check_consistency(f.dictionary)
     save_digest, answers_digest, fields = PINNED[name]
     assert dataclasses.astuple(stats) == fields
     assert hashlib.sha256(answers).hexdigest() == answers_digest
     assert hashlib.sha256(blob.getvalue()).hexdigest() == save_digest
+
+
+# (n, m, epsilon, seed, length) of a stream of distinct random elements
+# inserted with MAX_SEARCH = 8, and what it pins: the index, fingerprint
+# and tag of the first insert that overflows, and the sha256 of a save
+# of the state the filter served just before it
+OVERFLOW = (2000, 2000, 2**-8, 2, 12_000)
+OVERFLOW_PIN = (10723, 210785, 4,
+                "bcc45bf72f5b53d0b477e84cc83a59b4a6cb092bbcf90d81425f33567b753e92")
+
+
+def test_first_overflow_pinned(monkeypatch):
+    monkeypatch.setattr(dictionary, "MAX_SEARCH", 8)
+    n, m, eps, seed, length = OVERFLOW
+    rng = SplitMix64(seed + 1)
+    stream = [rng.below(2**63) for _ in range(length)]
+    t, error, f, served = run_to_overflow(
+        lambda: SlidingFilter.create(n, m, eps, seed=seed), stream, check_every=500)
+
+    assert f.boundaries >= 2 * f.params.gen_modulus  # the label counter wrapped twice
+    assert (t, error.fp, error.tag, hashlib.sha256(served).hexdigest()) == OVERFLOW_PIN
+    check_consistency(load_filter(served).dictionary)
+    assert_refuses_every_use(f, stream[t])
+    assert_refuses_every_use(f, stream[0])

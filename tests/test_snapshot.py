@@ -20,7 +20,7 @@ from slidingbloom import (
 )
 from slidingbloom.prng import SplitMix64
 
-from cell_audit import check_consistency
+from cell_audit import check_consistency, entries
 from stream_patterns import random_pool
 
 
@@ -140,7 +140,7 @@ def test_eviction_continues_identically_after_reload():
 
 # byte offsets of the v4 layout (see the snapshot module docstring)
 FLAGS, C = 10, 59
-STEPS = 108
+STEPS, REBUILDS = 108, 116
 DICT = 124
 CURSOR, KEYS = DICT, DICT + 8
 
@@ -227,11 +227,9 @@ def test_steps_beyond_u64_refused_on_save(tmp_path):
     stepped = load_filter(resealed(roundtrip(busy_filter()), STEPS, 2**64 - 1, 8))
     stepped.insert(1)
     assert stepped.steps == 2**64
-    rebuilt = busy_filter()
-    rebuilt.rebuilds = 2**64
     # u is stored as two u64 halves: 2**128 leaves a high half of 2**64
     wide = SlidingFilter.create(80, 20, 2**-6, u=2**128, seed=17)
-    for f in (stepped, rebuilt, wide):
+    for f in (stepped, wide):
         # refused before the first write: nothing reaches the target
         target = io.BytesIO()
         with pytest.raises(SnapshotError, match="64-bit"):
@@ -315,7 +313,7 @@ def test_cell_fields_range_checked():
     blob = roundtrip(f)
     kw, tw = d._key_width, d._tag_width
     tags = KEYS + d.capacity_cells * kw
-    occupied = next(i for i, _fp, _t in d.entries())
+    occupied = next(i for i, _fp, _t in entries(d))
     free = next(i for i in range(d.capacity_cells) if d._keys[i] == d._empty)
     with pytest.raises(SnapshotError, match="cursor"):
         load_filter(resealed(blob, CURSOR, d.capacity_cells, 8))
@@ -331,26 +329,6 @@ def test_cell_fields_range_checked():
             load_filter(reseal(section))
 
 
-def test_rebuilt_filter_roundtrip(monkeypatch):
-    # a rebuild reseeds the placement: the stored rebuild count, not the
-    # filter seed alone, must place the restored cells
-    monkeypatch.setattr(dictionary, "MAX_SEARCH", 8)
-    f = SlidingFilter.create(2000, 2000, 2**-8, seed=0)
-    rng = SplitMix64(100)
-    while f.rebuilds == 0:
-        f.insert(rng.below(2**63))
-    blob = roundtrip(f)
-    g = load_filter(blob)
-    assert g.rebuilds == f.rebuilds and roundtrip(g) == blob
-    check_consistency(g.dictionary)
-    for _ in range(3000):
-        x = rng.below(2**63)
-        f.insert(x)
-        g.insert(x)
-        assert f.query(x ^ 1) == g.query(x ^ 1)
-    assert roundtrip(g) == roundtrip(f)
-
-
 def test_load_derives_hash_and_tables_once(monkeypatch):
     calls = {"hash": 0, "tables": 0}
 
@@ -362,9 +340,8 @@ def test_load_derives_hash_and_tables_once(monkeypatch):
 
     monkeypatch.setattr(filter_module, "new_hash", counted("hash", filter_module.new_hash))
     monkeypatch.setattr(dictionary, "_tabulation", counted("tables", dictionary._tabulation))
-    # a filter that rebuilt is built with the placement of its last rebuild
-    rebuilt = (GOLDEN / "snapshot_v4_rebuilt.bin").read_bytes()
-    for blob in (roundtrip(busy_filter()), rebuilt):
+    plain = (GOLDEN / "snapshot_v4_plain.bin").read_bytes()
+    for blob in (roundtrip(busy_filter()), plain):
         calls.update(hash=0, tables=0)
         assert roundtrip(load_filter(blob)) == blob
         assert calls == {"hash": 1, "tables": 1}
@@ -373,7 +350,7 @@ def test_load_derives_hash_and_tables_once(monkeypatch):
 GOLDEN = Path(__file__).parent / "data"
 
 
-@pytest.mark.parametrize("name", ["plain", "rebuilt"])
+@pytest.mark.parametrize("name", ["plain"])
 def test_golden_v4_blobs(name):
     # committed v4 snapshots (recipes in snapshot_v4.json; the answers are
     # those the same recipes gave as version 3 blobs): a change to derive,
@@ -382,10 +359,27 @@ def test_golden_v4_blobs(name):
     meta = json.loads((GOLDEN / "snapshot_v4.json").read_text())[name]
     blob = (GOLDEN / meta["file"]).read_bytes()
     f = load_filter(blob)
-    assert (f.steps, f.rebuilds) == (meta["steps"], meta["rebuilds"])
+    assert f.steps == meta["steps"]
     assert "".join("1" if f.query(x) else "0" for x in meta["probes"]) == meta["answers"]
     check_consistency(f.dictionary)
     assert roundtrip(f) == blob
+
+
+def test_nonzero_rebuilds_refused_before_construction(monkeypatch):
+    # the rebuild count is a reserved field that must hold 0: a filter
+    # that rebuilt placed its cells under a seed this build no longer
+    # derives, so its blob is refused before any filter is built
+    plain = roundtrip(busy_filter())
+    assert plain[REBUILDS:REBUILDS + 8] == bytes(8)
+
+    def constructed(*args):
+        raise AssertionError("the constructor ran")
+
+    monkeypatch.setattr(SlidingFilter, "__init__", constructed)
+    rebuilt = (GOLDEN / "snapshot_v4_rebuilt.bin").read_bytes()
+    for blob in (rebuilt, resealed(plain, REBUILDS, 1, 8)):
+        with pytest.raises(SnapshotError, match="reserved field rebuilds"):
+            load_filter(blob)
 
 
 def answers(f, probes):

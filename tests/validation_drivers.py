@@ -18,6 +18,7 @@ import numpy as np
 from slidingbloom import DEFAULT_UNIVERSE, InvalidParams, SlidingFilter, derive, next_prime
 from slidingbloom.prng import SplitMix64, derive_seed
 
+from cell_audit import entries
 from checked_filter import CheckedFilter, is_active_tag
 from window_oracle import Region, WindowOracle
 
@@ -105,7 +106,7 @@ def census_false_positives(n: int, m, epsilon: float, seed: int,
         filt.insert(t - 1)
         if t == marks[done]:
             active = np.fromiter(
-                (fp for _i, fp, tag in filt.dictionary.entries() if is_active_tag(filt, tag)),
+                (fp for _i, fp, tag in entries(filt.dictionary) if is_active_tag(filt, tag)),
                 dtype=np.int64)
             if len(active):
                 active.sort()
