@@ -8,7 +8,7 @@ epsilon for anything older. Backed by a fingerprint dictionary
 scanner that keeps every operation's work constant.
 """
 
-from .dictionary import BUCKET_SIZE, MAX_SEARCH, Dictionary, InsertOverflow, never_stale
+from .dictionary import BUCKET_SIZE, MAX_SEARCH, Dictionary, InsertOverflow
 from .filter import (
     DEFAULT_UNIVERSE,
     CostReport,
@@ -52,7 +52,6 @@ __all__ = [
     "load_filter",
     "lower_bound_bits",
     "measure_fpr",
-    "never_stale",
     "new_hash",
     "next_prime",
     "save_filter",

@@ -115,10 +115,6 @@ class InsertOverflow(RuntimeError):
         self.tag = tag
 
 
-# the stale set of a caller to whom no tag is ever stale
-never_stale = frozenset()
-
-
 def _capacity_cells(element_capacity: int) -> int:
     """Cells for a 0.9 load at element capacity, in whole bucket pairs."""
     need = -(-element_capacity * _LOAD_DEN // _LOAD_NUM)  # ceil(cap / 0.9)
@@ -191,23 +187,22 @@ class Dictionary:
         self,
         element_capacity: int,
         fp_range: int,
-        tag_bits: int,
+        tag_range: int,
         seed: int,
-        tag_range: int | None = None,
     ):
         if element_capacity < 1:
             raise ValueError("element_capacity must be >= 1")
         if fp_range < 1:
             raise ValueError("fp_range must be >= 1")
-        if tag_bits < 1:
-            raise ValueError("tag_bits must be >= 1")
+        if tag_range < 2:
+            raise ValueError("tag_range must be >= 2")
 
         self.capacity_cells = _capacity_cells(element_capacity)
         self.num_buckets = self.capacity_cells // BUCKET_SIZE
         self.element_capacity = element_capacity
         self.fp_range = fp_range
-        self.tag_bits = tag_bits
-        self.tag_range = tag_range if tag_range is not None else 1 << tag_bits
+        self.tag_range = tag_range
+        self.tag_bits = (tag_range - 1).bit_length()
 
         # keys 2q + side - 1 run up to 2*q_max + 1; the all-ones value of
         # the key width stays above them and marks an empty cell

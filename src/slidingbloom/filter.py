@@ -101,12 +101,12 @@ class SlidingFilter:
     def __init__(self, params: FilterParams, seed: int):
         """Build an empty filter.
 
-        ``params`` must pass ``FilterParams.validate`` (``create`` derives
-        them from n, m, epsilon and u). The fingerprint hash and the
-        dictionary's placement both derive from ``seed``, which is taken
-        modulo 2**64.
+        ``params`` is used as given: a ``FilterParams`` holds only fields
+        derived from its inputs (``derive`` or ``create`` builds one from
+        n, m, epsilon and u), so nothing is checked or derived again
+        here. The fingerprint hash and the dictionary's placement both
+        derive from ``seed``, which is taken modulo 2**64.
         """
-        params.validate()
         self.params = params
         self.seed = seed & MASK64
 
@@ -116,9 +116,8 @@ class SlidingFilter:
         self._dict = Dictionary(
             element_capacity=max(params.dict_capacity, MIN_DICT_ELEMENTS),
             fp_range=params.fp_range,
-            tag_bits=params.tag_bits,
-            seed=derive_seed(self.seed, "dictionary"),
             tag_range=params.gen_modulus,
+            seed=derive_seed(self.seed, "dictionary"),
         )
 
         self.steps = 0
@@ -137,21 +136,20 @@ class SlidingFilter:
         self._q_n = 0
         self._q_sum = 0
         self._q_max = 0
-        self.boundaries = 0
 
     def restore(self, steps: int, cells) -> None:
         """Resume saved state in this freshly built filter.
 
         ``steps`` is the stream position, from which the generation
-        position, boundary count and label follow; ``cells`` is the
-        dictionary state (``Dictionary.to_buffers`` output, joined). Raises
-        ValueError, before anything changes, if the cells do not fit
-        this filter's dictionary.
+        position and label follow; ``cells`` is the dictionary state
+        (``Dictionary.to_buffers`` output, joined). Raises ValueError,
+        before anything changes, if the cells do not fit this filter's
+        dictionary.
         """
         self._dict.restore(cells)
         self.steps = steps
-        self.boundaries, gen_pos = divmod(steps, self.params.g)
-        self._set_generation(gen_pos, self.boundaries % self.params.gen_modulus)
+        boundaries, gen_pos = divmod(steps, self.params.g)
+        self._set_generation(gen_pos, boundaries % self.params.gen_modulus)
 
     def _set_generation(self, gen_pos: int, gen_label: int) -> None:
         """Set the position inside the generation, in [0, g), and the
@@ -215,7 +213,6 @@ class SlidingFilter:
         g_mod = self.params.gen_modulus
         label = (self.gen_label + 1) % g_mod
         self.gen_label = label
-        self.boundaries += 1
         stale = self._stale
         stale.discard(label)
         stale.add((label - self.params.c - 1) % g_mod)
@@ -236,6 +233,11 @@ class SlidingFilter:
 
     # -- introspection ---------------------------------------------------------
 
+    @property
+    def boundaries(self) -> int:
+        """Generation boundaries crossed so far."""
+        return self.steps // self.params.g
+
     def active_count(self) -> int:
         """Stored fingerprints whose tag is currently active (one sweep of the cells)."""
         return self._dict.live_count(self._stale)
@@ -243,7 +245,7 @@ class SlidingFilter:
     def bits_used(self) -> SpaceReport:
         dict_report = self._dict.bits_used()
         gen_pos_bits = max(1, (self.params.g - 1).bit_length())
-        gen_label_bits = max(1, (self.params.gen_modulus - 1).bit_length())
+        gen_label_bits = self.params.tag_bits
         hash_bits = 2 * self.hash.p.bit_length()
         aux = gen_pos_bits + gen_label_bits + hash_bits
         return SpaceReport(

@@ -2,10 +2,12 @@
 
 Every structural quantity of the filter is a pure function of the four
 user inputs: window size n, slackness m (possibly infinite), error
-bound epsilon, and universe size u. The analysis behind the formulas
-works with reals; ceilings are applied so that each derived inequality
-still holds for integers. The unbounded-slack case is represented by
-``math.inf`` (exposed as INFINITE), never by an integer sentinel.
+bound epsilon, and universe size u. It is computed in one place, when a
+``FilterParams`` is built from those inputs. The analysis behind the
+formulas works with reals; ceilings are applied so that each derived
+inequality still holds for integers. The unbounded-slack case is
+represented by ``math.inf`` (exposed as INFINITE), never by an integer
+sentinel.
 
 epsilon may be any real number that ``float`` accepts (an ``int``,
 ``float``, ``Fraction``, ``Decimal`` or numpy scalar; never a string).
@@ -17,7 +19,7 @@ checks compare integers: the float is the ratio num/den of two integers
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 INFINITE = math.inf
 
@@ -56,10 +58,16 @@ def _check_nme(n, m, epsilon) -> None:
 
 @dataclass(frozen=True)
 class FilterParams:
-    """All derived structural quantities for one filter instance.
+    """All structural quantities of one filter, built from its user inputs.
 
-    n, m, epsilon, u: the user inputs.
-    c: generation trade-off parameter in [1, n].
+    n, m, epsilon, u: the user inputs, checked; epsilon is stored as its
+    float value. The rest is derived from them, never passed in, so no
+    instance holds a field that the formulas below would not give:
+
+    c: generation trade-off parameter, max(ceil(log2(1/epsilon)),
+       ceil(n/m)) capped at n (both terms are at least 1); the second
+       term keeps g <= m, so expired-but-present elements always fall
+       inside the slack zone.
     g: generation capacity, ceil(n / c) stream positions per label.
     n_prime: nominal element capacity, n + g.
     fp_range: fingerprint space size, ceil(n_prime / epsilon).
@@ -71,12 +79,32 @@ class FilterParams:
     m: int | float
     epsilon: float
     u: int
-    c: int
-    g: int
-    n_prime: int
-    fp_range: int
-    gen_modulus: int
-    tag_bits: int
+    c: int = field(init=False)
+    g: int = field(init=False)
+    n_prime: int = field(init=False)
+    fp_range: int = field(init=False)
+    gen_modulus: int = field(init=False)
+    tag_bits: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        n, m, u = self.n, self.m, self.u
+        _check_nme(n, m, self.epsilon)
+        if not isinstance(u, int) or u < 2:
+            raise InvalidParams(f"universe size u must be an integer >= 2, got {u!r}")
+        epsilon = float(self.epsilon)
+        num, den = epsilon.as_integer_ratio()
+        if n * den >= num * u:
+            raise InvalidParams(f"need n < epsilon*u, got n={n}, epsilon*u={num * u / den:.6g}")
+
+        c = max(_ceil_log2_inv(epsilon), 1 if _is_infinite(m) else -(-n // m))
+        c = min(c, n)
+        g = -(-n // c)
+        n_prime = n + g
+        gen_modulus = 2 * c + 3
+        # frozen: the derived fields are set once, here, past __setattr__
+        self.__dict__.update(epsilon=epsilon, c=c, g=g, n_prime=n_prime,
+                             fp_range=-(-n_prime * den // num), gen_modulus=gen_modulus,
+                             tag_bits=(gen_modulus - 1).bit_length())
 
     @property
     def dict_capacity(self) -> int:
@@ -89,66 +117,11 @@ class FilterParams:
         """
         return max(self.n_prime, (self.c + 1) * self.g)
 
-    def validate(self) -> None:
-        _check_nme(self.n, self.m, self.epsilon)
-        if not isinstance(self.u, int) or self.u < 2:
-            raise InvalidParams(f"universe size u must be an integer >= 2, got {self.u!r}")
-        num, den = float(self.epsilon).as_integer_ratio()
-        if self.n * den >= num * self.u:
-            raise InvalidParams(
-                f"need n < epsilon*u, got n={self.n}, epsilon*u={num * self.u / den:.6g}"
-            )
-        if not (1 <= self.c <= self.n):
-            raise InvalidParams(f"c={self.c} outside [1, n]")
-        if self.g * self.c < self.n:
-            raise InvalidParams(f"g*c={self.g * self.c} < n={self.n}")
-        if not _is_infinite(self.m) and self.g > self.m:
-            raise InvalidParams(f"generation size g={self.g} exceeds slack m={self.m}")
-        if self.n_prime != self.n + self.g:
-            raise InvalidParams("n_prime != n + g")
-        if self.fp_range * num < self.n_prime * den:
-            raise InvalidParams("fingerprint range below n_prime/epsilon")
-        if self.gen_modulus != 2 * self.c + 3:
-            raise InvalidParams("generation modulus != 2c + 3")
-        if (1 << self.tag_bits) < self.gen_modulus:
-            raise InvalidParams("tag_bits too small for generation modulus")
-
 
 def derive(n: int, m, epsilon: float, u: int) -> FilterParams:
-    """Derive all structural parameters from (n, m, epsilon, u).
-
-    c = max(ceil(log2(1/epsilon)), ceil(n/m)), clamped to [1, n]. The
-    second term keeps g = ceil(n/c) <= m so expired-but-present
-    elements always fall inside the slack zone. Every field follows from
-    float(epsilon), the value stored.
-    """
-    _check_nme(n, m, epsilon)
-    epsilon = float(epsilon)
-    num, den = epsilon.as_integer_ratio()
-
-    slack_term = 1 if _is_infinite(m) else -(-n // m)
-    c = max(_ceil_log2_inv(epsilon), slack_term)
-    c = min(max(c, 1), n)
-    g = -(-n // c)
-    n_prime = n + g
-    fp_range = -(-n_prime * den // num)
-    gen_modulus = 2 * c + 3
-    tag_bits = (gen_modulus - 1).bit_length()
-
-    params = FilterParams(
-        n=n,
-        m=m,
-        epsilon=epsilon,
-        u=u,
-        c=c,
-        g=g,
-        n_prime=n_prime,
-        fp_range=fp_range,
-        gen_modulus=gen_modulus,
-        tag_bits=tag_bits,
-    )
-    params.validate()
-    return params
+    """Check (n, m, epsilon, u) and derive every structural parameter
+    from them (see ``FilterParams``); raises InvalidParams."""
+    return FilterParams(n, m, epsilon, u)
 
 
 def upper_bound_bits(n: int, m, epsilon: float) -> float:

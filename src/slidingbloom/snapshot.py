@@ -1,8 +1,8 @@
 """Versioned binary snapshots of a filter.
 
-A snapshot holds only what a filter cannot derive: the user inputs and
-the derived parameters (checked by ``FilterParams.validate``), the
-seed, the stream position, and the dictionary's scan cursor and cells.
+A snapshot holds the user inputs, the derived parameters (which must
+equal ``derive`` of the inputs), the seed, the stream position, and the
+dictionary's scan cursor and cells.
 Every field up to the dictionary section is declared once, by the
 struct format ``_HEADER`` ("<8sHBQQdQQQQQQQQQBQQ": little-endian, no
 padding, 124 bytes), in this order:
@@ -56,9 +56,12 @@ It runs before the first write, so a refused save writes nothing.
 Loading checks the magic, the version, the length and the trailer,
 unpacks the header in one call, then checks every stored field: flags
 in range, m = 0 when the slack is infinite, the reserved field 0, the
-parameters valid, the dictionary section exactly as long as the
-parameters make it, and the scan cursor, the tags and the quotients in
-range, with a zero tag in every empty cell. A blob that fails any check raises SnapshotError.
+inputs valid, each stored derived field (c, g, n_prime, fp_range,
+gen_modulus, tag_bits) equal to the one ``derive`` gives for the
+inputs, the dictionary section exactly as long as the parameters make
+it, and the scan cursor, the tags and the quotients in range, with a
+zero tag in every empty cell. A blob that fails any check raises
+SnapshotError.
 Versions 1 to 3 are refused: version 1 cells were placed by an earlier
 placement function, version 2 stored derived fields in other places,
 and version 3 stored a mode byte, the dictionary's placement seed and
@@ -71,9 +74,14 @@ built.
 
 Integrity scope: the CRC32 catches accidental damage, such as a flipped
 bit or a truncated file. It is not a signature. A blob resealed with a
-fresh CRC after a change to ``steps`` or to a cell is a forgery that no
-unkeyed format can refuse: it loads if every field is in range, and
-answers as the forged state says.
+fresh CRC after a change to a derived field is refused, since that field
+no longer matches its inputs. A change to the seed, to u (within
+n < epsilon*u), to ``steps`` or to a cell is a forgery that no unkeyed
+format can refuse: it loads if every field is in range, and answers as
+the forged state says. A forged seed or u changes the fingerprint hash,
+so the reloaded filter answers No for most of its window. m and epsilon
+enter the filter only through the derived fields, so a change to them
+that leaves those fields as they were loads with the same answers.
 """
 
 from __future__ import annotations
@@ -82,7 +90,7 @@ import struct
 import zlib
 
 from .filter import SlidingFilter
-from .params import INFINITE, FilterParams, InvalidParams
+from .params import INFINITE, InvalidParams, derive
 from .prng import MASK64
 
 MAGIC = b"SBFSNAP1"
@@ -90,6 +98,8 @@ VERSION = 4
 # every field up to the dictionary section; a u128 is two u64 halves, low first
 _HEADER = struct.Struct("<8sHBQQdQQQQQQQQQBQQ")
 _CRC = struct.Struct("<I")
+# the stored derived fields, in header order; each must equal derive's
+_DERIVED = ("c", "g", "n_prime", "fp_range", "gen_modulus", "tag_bits")
 
 
 class SnapshotError(ValueError):
@@ -140,20 +150,21 @@ def _decode(data: memoryview) -> SlidingFilter:
                             f"of a filter that rebuilt cannot be placed")
     cells = body[_HEADER.size:]
 
-    params = FilterParams(
-        n=n, m=INFINITE if flags else m_raw, epsilon=epsilon, u=u_high << 64 | u_low,
-        c=c, g=g, n_prime=n_prime, fp_range=fp_high << 64 | fp_low,
-        gen_modulus=gen_modulus, tag_bits=tag_bits,
-    )
+    try:
+        params = derive(n, INFINITE if flags else m_raw, epsilon, u_high << 64 | u_low)
+    except InvalidParams as exc:
+        raise SnapshotError(f"snapshot parameters invalid: {exc}") from None
+    stored = (c, g, n_prime, fp_high << 64 | fp_low, gen_modulus, tag_bits)
+    for name, value in zip(_DERIVED, stored):
+        if value != getattr(params, name):
+            raise SnapshotError(f"snapshot parameters invalid: stored {name}={value}, but n, m, "
+                                f"epsilon and u give {name}={getattr(params, name)}")
     # every element the dictionary is sized for needs a cell of at least
     # two bytes; checked before the constructor allocates the cells
     if len(cells) < 2 * params.dict_capacity:
         raise SnapshotError(f"dictionary section of {len(cells)} bytes is too short "
                             f"for element capacity {params.dict_capacity}")
-    try:
-        f = SlidingFilter(params, seed)
-    except InvalidParams as exc:
-        raise SnapshotError(f"snapshot parameters invalid: {exc}") from None
+    f = SlidingFilter(params, seed)
     try:
         f.restore(steps, cells)
     except ValueError as exc:

@@ -3,10 +3,13 @@
 ``entries`` decodes every occupied cell back to its fingerprint by
 inverting the placement map of the cell's side, and
 ``check_consistency`` reads the cells through it and ``buckets_for``
-only, so it checks the decode as well as the placement.
+only, so it checks the decode as well as the placement. ``never_stale``
+is the stale set of a caller to whom no tag is ever stale.
 """
 
 from slidingbloom import BUCKET_SIZE
+
+never_stale = frozenset()
 
 
 def entries(d):

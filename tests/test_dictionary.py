@@ -1,15 +1,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slidingbloom import BUCKET_SIZE, Dictionary, InsertOverflow, dictionary, never_stale
+from slidingbloom import BUCKET_SIZE, Dictionary, InsertOverflow, dictionary
 from slidingbloom.prng import SplitMix64, derive_seed, splitmix64_block
 
-from cell_audit import check_consistency, entries
+from cell_audit import check_consistency, entries, never_stale
 
 
-def make(cap=100, fp_range=100_000, tag_bits=4, seed=0, **kw):
-    return Dictionary(element_capacity=cap, fp_range=fp_range, tag_bits=tag_bits,
-                      seed=seed, **kw)
+def make(cap=100, fp_range=100_000, tag_range=16, seed=0):
+    return Dictionary(element_capacity=cap, fp_range=fp_range, tag_range=tag_range, seed=seed)
 
 
 def test_capacity_rounding():
@@ -110,7 +109,7 @@ def test_fill_to_load_target_many_seeds():
     # Monte Carlo: 0.9 load with distinct random fingerprints,
     # no overflow across 100 seeds
     for seed in range(100):
-        d = make(cap=500, fp_range=10**9, tag_bits=4, seed=seed)
+        d = make(cap=500, fp_range=10**9, tag_range=16, seed=seed)
         rng = SplitMix64(seed * 7 + 1)
         seen = set()
         while len(seen) < 500:
@@ -228,7 +227,7 @@ def test_insert_overflow_surfaces():
 
 
 def test_bits_used_quotient_accounting():
-    d = Dictionary(element_capacity=14, fp_range=32, tag_bits=3, seed=0)
+    d = Dictionary(element_capacity=14, fp_range=32, tag_range=8, seed=0)
     rep = d.bits_used()
     assert rep.total_bits == rep.cells_total_bits + rep.overhead_bits
     q_bits = ((32 - 1) // d.num_buckets).bit_length()
@@ -264,7 +263,7 @@ def test_quotient_decode_roundtrip():
                 min_size=1, max_size=120))
 def test_random_op_sequences_keep_invariants(ops):
     # op 1 expires one tag: a full scan frees exactly the cells carrying it
-    d = Dictionary(element_capacity=64, fp_range=1000, tag_bits=3, seed=1)
+    d = Dictionary(element_capacity=64, fp_range=1000, tag_range=8, seed=1)
     live = {}
     for op, fp, tag in ops:
         if op == 0:
@@ -353,7 +352,7 @@ def test_insert_overflow_leaves_every_cell_as_it_was():
 
 
 def wide_dictionary():
-    d = make(cap=300, fp_range=2**80, tag_bits=5, seed=4)
+    d = make(cap=300, fp_range=2**80, tag_range=32, seed=4)
     rng = SplitMix64(9)
     fps = {rng.below(2**80) for _ in range(250)}
     for i, fp in enumerate(sorted(fps)):
@@ -373,7 +372,7 @@ def test_wide_quotients_use_exact_keys():
 
 
 def filled(fp_range=10**7, seed=5):
-    d = make(cap=300, fp_range=fp_range, tag_bits=5, seed=seed)
+    d = make(cap=300, fp_range=fp_range, tag_range=32, seed=seed)
     rng = SplitMix64(seed)
     for i in range(260):
         d.insert_or_update(rng.below(fp_range), i % 20, never_stale)
@@ -392,7 +391,7 @@ def test_codec_roundtrip(fp_range):
     # placement decodes the stored cells
     d = filled(fp_range)
     blob = saved(d)
-    e = make(cap=300, fp_range=fp_range, tag_bits=5, seed=5)
+    e = make(cap=300, fp_range=fp_range, tag_range=32, seed=5)
     e.restore(blob)
     assert saved(e) == blob
     assert list(entries(e)) == list(entries(d))
@@ -434,7 +433,7 @@ def codec_range_checks(fp_range):
         "empty tag": patched(tags_at + free * tw, 1, tw),
         "out-of-range tag in an empty cell": patched(tags_at + free * tw, d.tag_range, tw),
     }
-    target = make(cap=300, fp_range=fp_range, tag_bits=5, seed=5)
+    target = make(cap=300, fp_range=fp_range, tag_range=32, seed=5)
     before = saved(target)
     for what, data in bad.items():
         with pytest.raises(ValueError, match=what.split()[-1]):
@@ -443,5 +442,5 @@ def codec_range_checks(fp_range):
         with pytest.raises(ValueError):
             target.restore(blob[:cut])
     with pytest.raises(ValueError):  # another geometry: the planes have another length
-        make(cap=400, fp_range=fp_range, tag_bits=5, seed=5).restore(blob)
+        make(cap=400, fp_range=fp_range, tag_range=32, seed=5).restore(blob)
     assert saved(target) == before  # a refused restore changes nothing

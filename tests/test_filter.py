@@ -13,11 +13,10 @@ from slidingbloom import (
     InvalidParams,
     SlidingFilter,
     dictionary,
-    never_stale,
 )
 from slidingbloom.prng import SplitMix64
 
-from cell_audit import check_consistency, entries
+from cell_audit import check_consistency, entries, never_stale
 from checked_filter import CheckedFilter, LabelReuseViolation, is_active_tag
 from overflow_run import assert_refuses_every_use, run_to_overflow
 from reference_model import CRITERION_6_CONFIGS, sweep_mismatches

@@ -1,5 +1,6 @@
 import math
-from dataclasses import replace
+from collections import namedtuple
+from dataclasses import astuple, replace
 from decimal import Decimal
 from fractions import Fraction
 
@@ -90,7 +91,6 @@ def test_fp_range_exact_for_awkward_epsilon():
 def test_derive_invariants(n, m, eps_pow):
     epsilon = 2.0**-eps_pow
     params = derive(n, m, epsilon, U64)
-    params.validate()
     assert 1 <= params.c <= n
     assert params.g * params.c >= n
     if m != INFINITE:
@@ -152,9 +152,13 @@ def fraction_ceil_log2_inv(epsilon):
     return level
 
 
+# every field of a FilterParams, inputs first, in declaration order
+Fields = namedtuple("Fields", "n m epsilon u c g n_prime fp_range gen_modulus tag_bits")
+
+
 def fraction_validate(p):
-    """FilterParams.validate as written with Fraction (the n, m and
-    epsilon checks are shared code)."""
+    """The checks derive's integer formulas must pass, written with
+    Fraction (the n, m and epsilon checks are shared code)."""
     _check_nme(p.n, p.m, p.epsilon)
     if not isinstance(p.u, int) or p.u < 2:
         raise InvalidParams(f"universe size u must be an integer >= 2, got {p.u!r}")
@@ -184,13 +188,17 @@ def fraction_derive(n, m, epsilon, u):
     c = min(max(c, 1), n)
     g = -(-n // c)
     n_prime = n + g
-    params = FilterParams(
+    params = Fields(
         n=n, m=m, epsilon=epsilon, u=u, c=c, g=g, n_prime=n_prime,
         fp_range=-(-n_prime * eps.denominator // eps.numerator),
         gen_modulus=2 * c + 3, tag_bits=(2 * c + 2).bit_length(),
     )
     fraction_validate(params)
     return params
+
+
+def derived_fields(n, m, epsilon, u):
+    return Fields(*astuple(derive(n, m, epsilon, u)))
 
 
 def outcome(call, *args):
@@ -217,20 +225,7 @@ def test_ceil_log2_inv_matches_fraction_formula(epsilon):
 
 @given(n=st.integers(1, 10**6), m=SLACKS, epsilon=EPSILONS, u=UNIVERSES)
 def test_derive_matches_fraction_formulas(n, m, epsilon, u):
-    assert outcome(derive, n, m, epsilon, u) == outcome(fraction_derive, n, m, epsilon, u)
-
-
-FIELDS = ("c", "g", "n_prime", "fp_range", "gen_modulus", "tag_bits")
-
-
-@given(n=st.integers(1, 10**5), m=SLACKS, eps_pow=st.integers(1, 40),
-       field=st.sampled_from(FIELDS), delta=st.integers(-3, 3))
-def test_validate_matches_fraction_formulas(n, m, eps_pow, field, delta):
-    # a valid parameter set with one field nudged: both sets of formulas
-    # accept or refuse it, with the same message
-    p = derive(n, m, 2.0 ** -eps_pow * 1.5, 2**64)
-    nudged = replace(p, **{field: max(0, getattr(p, field) + delta)})
-    assert outcome(nudged.validate) == outcome(fraction_validate, nudged)
+    assert outcome(derived_fields, n, m, epsilon, u) == outcome(fraction_derive, n, m, epsilon, u)
 
 
 @given(odd=st.integers(0, 500).map(lambda k: 2 * k + 1), j=st.integers(1, 70),
@@ -243,19 +238,28 @@ def test_exact_boundaries_match_fraction_formulas(odd, j, t):
     # n == epsilon * u exactly: refused; one more universe element: accepted
     n, u = odd * t, t << j
     for universe in (u - 1, u, u + 1):
-        got = outcome(derive, n, INFINITE, epsilon, universe)
+        got = outcome(derived_fields, n, INFINITE, epsilon, universe)
         assert got == outcome(fraction_derive, n, INFINITE, epsilon, universe)
         assert isinstance(got, str) == (universe <= u)
-    # fp_range == n_prime / epsilon exactly: accepted; one less: refused
+    # n_prime / epsilon an integer: fp_range is exactly that integer
     p = derive(odd * t, INFINITE, epsilon, 2**200)
     exact = p.n_prime * 2**j
     if exact % odd == 0:
-        for fp_range in (exact // odd - 1, exact // odd, exact // odd + 1):
-            q = replace(p, fp_range=fp_range)
-            assert outcome(q.validate) == outcome(fraction_validate, q)
         assert p.fp_range == exact // odd
-        with pytest.raises(InvalidParams, match="fingerprint range"):
-            replace(p, fp_range=exact // odd - 1).validate()
+        assert derived_fields(odd * t, INFINITE, epsilon, 2**200) == \
+            fraction_derive(odd * t, INFINITE, epsilon, 2**200)
+
+
+def test_derived_fields_cannot_be_passed_in():
+    p = FilterParams(1000, 1000, 2**-10, U64)
+    assert p == derive(1000, 1000, 2**-10, U64)
+    with pytest.raises(TypeError):
+        FilterParams(1000, 1000, 2**-10, U64, c=11)
+    with pytest.raises(ValueError):
+        replace(p, fp_range=p.fp_range + 1)
+    with pytest.raises(InvalidParams, match="universe"):
+        replace(p, u=1)
+    assert replace(p, n=500) == derive(500, 1000, 2**-10, U64)
 
 
 # -- epsilon is a real number, every field derived from its float value --
@@ -266,7 +270,6 @@ def test_exact_epsilon_gives_the_params_of_its_float(epsilon):
     p = derive(100, 10, epsilon, 2**64)
     assert p == derive(100, 10, float(epsilon), 2**64)
     assert type(p.epsilon) is float
-    p.validate()
 
 
 @pytest.mark.parametrize("epsilon", ["0.1", b"0.1", bytearray(b"0.1"), None, 1j])

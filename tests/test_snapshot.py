@@ -139,7 +139,10 @@ def test_eviction_continues_identically_after_reload():
 
 
 # byte offsets of the v4 layout (see the snapshot module docstring)
-FLAGS, C = 10, 59
+FLAGS, C, TAG_BITS = 10, 59, 107
+# each stored derived field: its offset and width (fp_range: its low half)
+DERIVED = {"c": (C, 8), "g": (67, 8), "n_prime": (75, 8), "fp_range": (83, 8),
+           "gen_modulus": (99, 8), "tag_bits": (TAG_BITS, 1)}
 STEPS, REBUILDS = 108, 116
 DICT = 124
 CURSOR, KEYS = DICT, DICT + 8
@@ -307,6 +310,38 @@ def test_header_fields_range_checked():
         load_filter(reseal(blob[:KEYS]))  # no cells: the constructor never runs
 
 
+@pytest.mark.parametrize("delta", [-1, 1])
+@pytest.mark.parametrize("name", DERIVED)
+def test_resealed_derived_field_refused(name, delta):
+    f = busy_filter()
+    offset, width = DERIVED[name]
+    forged = resealed(roundtrip(f), offset, getattr(f.params, name) + delta, width)
+    with pytest.raises(SnapshotError, match=f"parameters invalid: stored {name}="):
+        load_filter(forged)
+
+
+def test_forged_fp_range_refused_before_it_loses_the_window():
+    # fp_range sets the range of the fingerprint hash: a filter loaded
+    # with fp_range + 1 hashes its window elements to other fingerprints
+    # and answers No for nearly all of them
+    f = SlidingFilter.create(1000, 1000, 2**-10, seed=17)
+    rng = SplitMix64(3)
+    stream = [rng.below(2**64) for _ in range(3000)]
+    for x in stream:
+        f.insert(x)
+    window = stream[-1000:]
+    assert all(f.query(x) for x in window)
+    forged = resealed(roundtrip(f), DERIVED["fp_range"][0], f.params.fp_range + 1, 8)
+    try:
+        g = load_filter(forged)
+    except SnapshotError as exc:
+        assert "stored fp_range=" in str(exc)
+    else:
+        missed = sum(not g.query(x) for x in window)
+        pytest.fail(f"fp_range + 1 loaded, and {missed} of {len(window)} window elements "
+                    f"answer No")
+
+
 def test_cell_fields_range_checked():
     f = busy_filter()
     d = f.dictionary
@@ -413,11 +448,14 @@ def test_fuzz_bit_flips_refused_or_harmless(bits):
 @given(st.integers(10, len(FUZZ_BLOB) - 5), st.integers(0, 255))
 def test_fuzz_resealed_bytes_refused_or_usable(offset, value):
     # damage behind a valid checksum never escapes as anything but
-    # SnapshotError, and whatever loads keeps working
+    # SnapshotError, and whatever loads keeps working; a changed byte of
+    # a stored derived field (c through tag_bits) is always refused
+    blob = resealed(FUZZ_BLOB, offset, value, 1)
     try:
-        g = load_filter(resealed(FUZZ_BLOB, offset, value, 1))
+        g = load_filter(blob)
     except SnapshotError:
         return
+    assert blob == FUZZ_BLOB or not C <= offset <= TAG_BITS
     for x in random_pool(200, 400, seed=offset):
         g.insert(x)
         g.query(x + 1)
