@@ -9,34 +9,18 @@ scanner that keeps every operation's work constant.
 """
 
 from .dictionary import BUCKET_SIZE, MAX_SEARCH, Dictionary, InsertOverflow
-from .filter import (
-    DEFAULT_UNIVERSE,
-    CostReport,
-    SlidingFilter,
-    SpaceReport,
-    UnrecoverableOverflow,
-)
-from .harness import FprReport, SpaceVsBounds, measure_fpr, space_report
-from .hashing import UniversalHash, is_prime, new_hash, next_prime
-from .params import (
-    INFINITE,
-    FilterParams,
-    InvalidParams,
-    derive,
-    lower_bound_bits,
-    upper_bound_bits,
-)
+from .filter import DEFAULT_UNIVERSE, SlidingFilter, SpaceReport, UnrecoverableOverflow
+from .hashing import UniversalHash
+from .params import INFINITE, FilterParams, InvalidParams, derive
 from .snapshot import SnapshotError, load_filter, save_filter
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BUCKET_SIZE",
-    "CostReport",
     "DEFAULT_UNIVERSE",
     "Dictionary",
     "FilterParams",
-    "FprReport",
     "INFINITE",
     "InsertOverflow",
     "InvalidParams",
@@ -44,17 +28,9 @@ __all__ = [
     "SlidingFilter",
     "SnapshotError",
     "SpaceReport",
-    "SpaceVsBounds",
     "UniversalHash",
     "UnrecoverableOverflow",
     "derive",
-    "is_prime",
     "load_filter",
-    "lower_bound_bits",
-    "measure_fpr",
-    "new_hash",
-    "next_prime",
     "save_filter",
-    "space_report",
-    "upper_bound_bits",
 ]

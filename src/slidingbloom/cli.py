@@ -1,16 +1,15 @@
 """Command-line front end.
 
-Subcommands: dedup (flag repeats in a stream), fpr, space.
+Subcommand: dedup (flag repeats in a stream).
 Text is read and echoed as UTF-8, whatever the locale; its tokens are
 pre-hashed to 64-bit integers with FNV-1a of their UTF-8 bytes
 (plumbing, unrelated to the filter's internal universal hash). Binary
 input is consumed as little-endian 64-bit words.
 
 Exit codes: 0 ok, 2 usage or invalid configuration, 3 dictionary
-insert overflow, 4 statistically underpowered fpr run, 141 (128 +
-SIGPIPE, as a shell reports a process killed by it) standard output
-closed by its reader, as by ``| head``; nothing is written to stderr
-then.
+insert overflow, 141 (128 + SIGPIPE, as a shell reports a process
+killed by it) standard output closed by its reader, as by ``| head``;
+nothing is written to stderr then.
 """
 
 from __future__ import annotations
@@ -25,14 +24,12 @@ from array import array
 
 from .dictionary import InsertOverflow
 from .filter import DEFAULT_UNIVERSE, SlidingFilter
-from .harness import MIN_EXPECTED_HITS, measure_fpr, space_report
 from .params import INFINITE, InvalidParams, derive
 from .prng import fnv1a64
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_OVERFLOW = 3
-EXIT_UNDERPOWERED = 4
 EXIT_BROKEN_PIPE = 141
 
 
@@ -178,39 +175,6 @@ def _run_dedup(args) -> int:
     return EXIT_OK
 
 
-def _run_fpr(args) -> int:
-    stream_len = args.stream_len
-    if stream_len is None:
-        m_fin = 0 if args.slack == INFINITE else args.slack
-        stream_len = 2 * (args.window + m_fin) + 20
-    try:
-        report = measure_fpr(args.window, args.slack, args.epsilon,
-                             stream_len=stream_len, trials=args.trials,
-                             seed=args.seed)
-    except (InvalidParams, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except InsertOverflow as exc:
-        print(f"error: insert overflow: {exc}", file=sys.stderr)
-        return EXIT_OVERFLOW
-    _emit_json(report.to_dict(), sys.stdout)
-    if report.underpowered:
-        print(f"warning: epsilon*trials = {args.epsilon * args.trials:.1f} "
-              f"< {MIN_EXPECTED_HITS}; estimate is underpowered", file=sys.stderr)
-        return EXIT_UNDERPOWERED
-    return EXIT_OK
-
-
-def _run_space(args) -> int:
-    try:
-        report = space_report(args.window, args.slack, args.epsilon, seed=args.seed)
-    except InvalidParams as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    _emit_json(report.to_dict(), sys.stdout)
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slidingbloom",
@@ -229,18 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     dedup.add_argument("input", nargs="?", default="-",
                        help="input path, or '-' for stdin (default)")
     dedup.set_defaults(func=_run_dedup)
-
-    fpr = subs.add_parser("fpr", help="Monte Carlo false-positive rate report")
-    _add_filter_args(fpr)
-    fpr.add_argument("-T", "--trials", type=int, default=100_000,
-                     help="number of fresh probes (default %(default)s)")
-    fpr.add_argument("--stream-len", type=int, default=None,
-                     help="stream length (default 2*(n+m)+20)")
-    fpr.set_defaults(func=_run_fpr)
-
-    space = subs.add_parser("space", help="bit footprint vs. space bounds")
-    _add_filter_args(space)
-    space.set_defaults(func=_run_space)
 
     return parser
 

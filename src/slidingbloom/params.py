@@ -1,4 +1,4 @@
-"""Parameter derivation and space-bound formulas.
+"""Parameter derivation.
 
 Every structural quantity of the filter is a pure function of the four
 user inputs: window size n, slackness m (possibly infinite), error
@@ -123,28 +123,3 @@ def derive(n: int, m, epsilon: float, u: int) -> FilterParams:
     from them (see ``FilterParams``); raises InvalidParams."""
     return FilterParams(n, m, epsilon, u)
 
-
-def upper_bound_bits(n: int, m, epsilon: float) -> float:
-    """Leading terms of the achievable space: n*log2(1/eps) + n*max-term.
-
-    The max-term is max(log2(n/m), log2(log2(1/eps))) floored at zero;
-    for infinite m the log2(n/m) term drops out. Multiplicative
-    (1+o(1)) factors and additive O(n) corrections are not computable
-    and are intentionally omitted.
-    """
-    _check_nme(n, m, epsilon)
-    level = math.log2(1.0 / float(epsilon))
-    candidates = [0.0, math.log2(level)]
-    if not _is_infinite(m):
-        candidates.append(math.log2(n / m))
-    return n * level + n * max(candidates)
-
-
-def lower_bound_bits(n: int, m, epsilon: float) -> float:
-    """Leading terms of the space lower bound (the -O(n) slack omitted).
-
-    Shares its leading terms with upper_bound_bits by construction, so
-    the two functions agree exactly; they are kept separate because
-    callers compare measured space against each side differently.
-    """
-    return upper_bound_bits(n, m, epsilon)

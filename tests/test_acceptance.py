@@ -11,22 +11,13 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from slidingbloom import (
-    INFINITE,
-    InsertOverflow,
-    SlidingFilter,
-    derive,
-    lower_bound_bits,
-    measure_fpr,
-    save_filter,
-    load_filter,
-    space_report,
-    upper_bound_bits,
-)
+from slidingbloom import INFINITE, InsertOverflow, SlidingFilter, derive, load_filter, save_filter
 from slidingbloom.prng import SplitMix64
 
 from checked_filter import CheckedFilter
+from fpr_seed_grid import measure_fpr
 from reference_model import CRITERION_6_CONFIGS, sweep_mismatches
+from space_sweep import bound_bits, space_report
 from stream_patterns import all_same, burst_edges, random_pool, round_robin
 from validation_drivers import (
     CRITERION_6_STRESS_CONFIGS,
@@ -123,7 +114,7 @@ def _fpr_task(args):
     m_fin = 0 if m == INFINITE else m
     stream_len = n + m_fin + max(10, n)
     rep = measure_fpr(n, m, eps, stream_len=stream_len, trials=100_000, seed=seed)
-    return (n, str(m), eps), rep.passed, rep.estimate
+    return (n, str(m), eps), rep["passed"], rep["estimate"]
 
 
 def test_criterion_2_fpr_bound():
@@ -221,14 +212,14 @@ def test_criterion_4_constant_work():
 def test_criterion_5_space_ratio():
     r10 = space_report(2**16, 2**16, 2**-10, seed=0)
     r6 = space_report(2**16, 2**16, 2**-6, seed=0)
-    ok = 1.0 <= r10.ratio <= 2.5 and 1.0 <= r6.ratio <= 3.0
-    # leading-term formulas stay exact as pure functions
-    ok &= upper_bound_bits(1024, INFINITE, 2**-8) == 11264
-    ok &= lower_bound_bits(2048, 2, 2**-4) == 28672
-    ok &= r10.counters_and_hash_bits / r10.measured_bits <= 0.01
+    ok = 1.0 <= r10["ratio"] <= 2.5 and 1.0 <= r6["ratio"] <= 3.0
+    # the leading-term formula stays exact as a pure function
+    ok &= bound_bits(1024, INFINITE, 2**-8) == 11264
+    ok &= bound_bits(2048, 2, 2**-4) == 28672
+    ok &= r10["counters_and_hash_bits"] / r10["measured_bits"] <= 0.01
     _announce(5, "space ratio", ok,
-              f"- eps=2^-10 ratio {r10.ratio:.3f} (<= 2.5), "
-              f"eps=2^-6 ratio {r6.ratio:.3f} (<= 3.0)")
+              f"- eps=2^-10 ratio {r10['ratio']:.3f} (<= 2.5), "
+              f"eps=2^-6 ratio {r6['ratio']:.3f} (<= 3.0)")
 
 
 # -- criterion 6: label safety and reference-model agreement -----------------

@@ -206,41 +206,9 @@ def test_overflow_exit_code(capsys, tmp_path, monkeypatch):
     assert "overflow" in err
 
 
-def test_fpr_subcommand_json(capsys):
-    code, out, err = run(capsys, "fpr", "-n", "200", "-m", "50", "-e", "0.0625",
-                         "--seed", "4", "-T", "2000")
-    assert code == 0
-    rep = json.loads(out)
-    assert rep["schema"] == "slidingbloom.fpr/1"
-    assert rep["trials"] == 2000
-    assert rep["passed"] is True
-
-
-def test_fpr_explicit_zero_stream_len_exits_2(capsys):
-    # an explicit 0 is refused, not replaced by the default length
-    code, out, err = run(capsys, "fpr", "-n", "200", "-m", "50", "-e", "0.0625",
-                         "-T", "2000", "--seed", "4", "--stream-len", "0")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: stream_len must be >=")
-
-
-def test_fpr_underpowered_exit_4(capsys):
-    code, out, err = run(capsys, "fpr", "-n", "100", "-m", "10", "-e", "0.0009765625",
-                         "--seed", "4", "-T", "1000")
-    assert code == 4
-    assert json.loads(out)["underpowered"] is True
-    assert "underpowered" in err
-
-
-def test_space_subcommand(capsys):
-    code, out, _ = run(capsys, "space", "-n", "65536", "-m", "65536", "-e", "0.0009765625")
-    assert code == 0
-    rep = json.loads(out)
-    assert rep["measured_bits"] > 0
-    assert rep["ratio"] == pytest.approx(rep["measured_bits"] / rep["lower_bound_bits"])
-
-
-def test_bench_is_an_unknown_subcommand(capsys):
-    assert cli.main(["bench", "-n", "500", "-e", "0.0625"]) == 2
-    assert "invalid choice: 'bench'" in capsys.readouterr().err
+# the benchmark and the validation drivers run as scripts, not subcommands:
+# perfbench/run.py, scripts/fpr_seed_grid.py and scripts/space_sweep.py
+@pytest.mark.parametrize("command", ["bench", "fpr", "space"])
+def test_removed_subcommand_is_unknown(capsys, command):
+    assert cli.main([command, "-n", "500", "-e", "0.0625"]) == 2
+    assert f"invalid choice: '{command}'" in capsys.readouterr().err

@@ -3,7 +3,10 @@ import math
 
 import pytest
 
-from slidingbloom import INFINITE, InvalidParams, dictionary, measure_fpr, space_report
+from slidingbloom import INFINITE, InvalidParams, dictionary
+
+from fpr_seed_grid import measure_fpr
+from space_sweep import space_report
 
 from validation_drivers import (
     CRITERION_6_STRESS_CONFIGS,
@@ -14,13 +17,13 @@ from validation_drivers import (
 
 def test_fpr_reference_bound_arithmetic():
     r = measure_fpr(1000, 1000, 1 / 64, stream_len=4020, trials=100_000, seed=5)
-    assert r.bound == pytest.approx(0.015625)
-    assert r.three_sigma == pytest.approx(3 * math.sqrt((1 / 64) * (63 / 64) / 1e5))
-    assert r.three_sigma == pytest.approx(0.0011765, abs=2e-6)
-    assert r.checkpoints == 10
-    assert 0 <= r.estimate <= 1
-    assert r.passed
-    assert not r.underpowered
+    assert r["bound"] == pytest.approx(0.015625)
+    assert r["three_sigma"] == pytest.approx(3 * math.sqrt((1 / 64) * (63 / 64) / 1e5))
+    assert r["three_sigma"] == pytest.approx(0.0011765, abs=2e-6)
+    assert r["checkpoints"] == 10
+    assert 0 <= r["estimate"] <= 1
+    assert r["passed"]
+    assert not r["underpowered"]
 
 
 def test_fpr_deterministic():
@@ -31,15 +34,16 @@ def test_fpr_deterministic():
 
 def test_fpr_power_rule_flags_small_samples():
     r = measure_fpr(100, 10, 2**-10, stream_len=300, trials=5000, seed=1)
-    assert r.underpowered  # eps*T = 4.9 < 20
+    assert r["underpowered"]  # eps*T = 4.9 < 20
     r = measure_fpr(100, 10, 2**-4, stream_len=300, trials=5000, seed=1)
-    assert not r.underpowered
+    assert not r["underpowered"]
 
 
 def test_fpr_infinite_slack():
     r = measure_fpr(500, INFINITE, 2**-4, stream_len=2000, trials=20_000, seed=3)
-    assert r.passed
-    assert r.to_dict()["m"] == "inf"
+    assert r["passed"]
+    assert r["m"] == "inf"
+    json.dumps(r)
 
 
 def test_fpr_rejects_short_streams():
@@ -80,18 +84,17 @@ def test_census_rejects_oversized_fp_range():
 
 def test_space_report_fields_and_ratio():
     r = space_report(2**14, 2**14, 2**-8, seed=0)
-    assert r.ratio >= 1.0
-    assert r.measured_bits == r.dictionary_bits + r.counters_and_hash_bits
-    assert r.upper_bound_bits == r.lower_bound_bits
-    assert r.counters_and_hash_bits / r.measured_bits <= 0.01
-    blob = json.dumps(r.to_dict(), sort_keys=True)
-    assert json.loads(blob)["schema"] == "slidingbloom.space/1"
+    assert r["ratio"] >= 1.0
+    assert r["measured_bits"] == r["dictionary_bits"] + r["counters_and_hash_bits"]
+    assert r["ratio"] == r["measured_bits"] / r["bound_bits"]
+    assert r["counters_and_hash_bits"] / r["measured_bits"] <= 0.01
+    blob = json.dumps(r, sort_keys=True)
+    assert json.loads(blob)["schema"] == "slidingbloom.space/2"
 
 
 def test_space_report_tracks_formula():
     r = space_report(4096, 4096, 2**-6, seed=1)
-    d = r
-    assert d.dictionary_bits >= d.capacity_cells * d.cell_bits
+    assert r["dictionary_bits"] >= r["capacity_cells"] * r["cell_bits"]
 
 
 def test_stress_clean_run():
@@ -122,6 +125,5 @@ def test_stress_sees_a_disabled_scanner(monkeypatch):
 
 def test_reports_serialize_infinite_slack():
     r = space_report(256, INFINITE, 2**-4, seed=0)
-    d = r.to_dict()
-    assert d["m"] == "inf"
-    json.dumps(d)
+    assert r["m"] == "inf"
+    json.dumps(r)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from slidingbloom import UniversalHash, is_prime, new_hash, next_prime
+from slidingbloom.hashing import UniversalHash, is_prime, new_hash, next_prime
 from slidingbloom.prng import MASK64, derive_seed, fnv1a64, splitmix64
 
 

@@ -8,15 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from slidingbloom import (
-    INFINITE,
-    FilterParams,
-    InvalidParams,
-    derive,
-    lower_bound_bits,
-    upper_bound_bits,
-)
+from slidingbloom import INFINITE, FilterParams, InvalidParams, derive
 from slidingbloom.params import _ceil_log2_inv, _check_nme
+
+from space_sweep import bound_bits
 
 U64 = 2**64
 
@@ -35,15 +30,15 @@ def test_derive_reference_values():
 
 
 def test_upper_bound_reference_values():
-    assert upper_bound_bits(1024, INFINITE, 2**-8) == 1024 * 8 + 1024 * 3
-    assert upper_bound_bits(1024, 1, 0.5) == 1024 * 1 + 1024 * 10
-    assert upper_bound_bits(100, 100, 2**-16) == 100 * 16 + 100 * 4
+    assert bound_bits(1024, INFINITE, 2**-8) == 1024 * 8 + 1024 * 3
+    assert bound_bits(1024, 1, 0.5) == 1024 * 1 + 1024 * 10
+    assert bound_bits(100, 100, 2**-16) == 100 * 16 + 100 * 4
 
 
 def test_lower_bound_reference_values():
-    assert lower_bound_bits(1024, INFINITE, 2**-8) == 11264
-    assert lower_bound_bits(1024, 1024, 2**-8) == 11264  # log2(n/m)=0 < loglog=3
-    assert lower_bound_bits(2048, 2, 2**-4) == 2048 * 4 + 2048 * 10
+    assert bound_bits(1024, INFINITE, 2**-8) == 11264
+    assert bound_bits(1024, 1024, 2**-8) == 11264  # log2(n/m)=0 < loglog=3
+    assert bound_bits(2048, 2, 2**-4) == 2048 * 4 + 2048 * 10
 
 
 @pytest.mark.parametrize("bad", [
@@ -108,28 +103,27 @@ def test_derive_invariants(n, m, eps_pow):
     epsilon=st.floats(1e-9, 0.999),
 )
 def test_bounds_ordering(n, m, epsilon):
-    up = upper_bound_bits(n, m, epsilon)
-    lo = lower_bound_bits(n, m, epsilon)
-    assert up >= lo
-    assert up == lo  # shared leading terms
-    assert lo >= n * math.log2(1 / epsilon) - 1e-9
+    # finite slack only adds a candidate to the max-term
+    bound = bound_bits(n, m, epsilon)
+    assert bound >= bound_bits(n, INFINITE, epsilon)
+    assert bound >= n * math.log2(1 / epsilon) - 1e-9
 
 
-def test_lower_bound_monotone_grid():
+def test_bound_monotone_grid():
     ns = [64, 256, 1024, 4096]
     ms = [1, 4, 64, 1024, INFINITE]
     eps = [2**-2, 2**-6, 2**-10, 2**-14]
     for m in ms:
         for e in eps:
-            vals = [lower_bound_bits(n, m, e) for n in ns]
+            vals = [bound_bits(n, m, e) for n in ns]
             assert vals == sorted(vals)  # non-decreasing in n
     for n in ns:
         for e in eps:
-            vals = [lower_bound_bits(n, m, e) for m in ms if m != INFINITE]
+            vals = [bound_bits(n, m, e) for m in ms if m != INFINITE]
             assert vals == sorted(vals, reverse=True)  # non-increasing in m
     for n in ns:
         for m in ms:
-            vals = [lower_bound_bits(n, m, e) for e in eps]
+            vals = [bound_bits(n, m, e) for e in eps]
             assert vals == sorted(vals)  # non-increasing in epsilon (eps shrinking)
 
 
@@ -138,8 +132,7 @@ def test_large_slack_equals_infinite(n, eps_pow):
     epsilon = 2.0**-eps_pow
     level = math.log2(1 / epsilon)
     m = max(1, math.ceil(n / level))
-    assert lower_bound_bits(n, m, epsilon) == pytest.approx(
-        lower_bound_bits(n, INFINITE, epsilon))
+    assert bound_bits(n, m, epsilon) == pytest.approx(bound_bits(n, INFINITE, epsilon))
 
 
 # -- the integer checks against the exact rational formulas they replaced --
@@ -277,4 +270,4 @@ def test_epsilon_must_be_a_real_number(epsilon):
     with pytest.raises(InvalidParams, match="epsilon"):
         derive(100, 10, epsilon, 2**64)
     with pytest.raises(InvalidParams, match="epsilon"):
-        upper_bound_bits(100, 10, epsilon)
+        bound_bits(100, 10, epsilon)

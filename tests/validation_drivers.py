@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from slidingbloom import DEFAULT_UNIVERSE, InvalidParams, SlidingFilter, derive, next_prime
+from slidingbloom import DEFAULT_UNIVERSE, InvalidParams, SlidingFilter, derive
+from slidingbloom.hashing import next_prime
 from slidingbloom.prng import SplitMix64, derive_seed
 
 from cell_audit import entries
