@@ -7,14 +7,18 @@ the upper bound. Emits TSV to stdout, one row per (n, epsilon):
     n  epsilon  measured_bits  bound_bits  ratio  bits_per_element
 
     python scripts/space_sweep.py --n 1024 --eps-pow 6 --slack inf
+
+Exit codes, as the slidingbloom CLI's: 0 ok, 2 usage or invalid
+parameters (one ``error:`` line on stderr, nothing on stdout).
 """
 
 import argparse
 import math
 import sys
 
+from slidingbloom.cli import EXIT_OK, EXIT_USAGE
 from slidingbloom.filter import DEFAULT_UNIVERSE, SlidingFilter
-from slidingbloom.params import INFINITE, _check_nme
+from slidingbloom.params import INFINITE, InvalidParams, _check_nme
 
 
 def bound_bits(n: int, m, epsilon: float) -> float:
@@ -66,14 +70,22 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
 
+    # every row is built before the first is printed, so invalid
+    # parameters leave stdout empty
+    rows = []
+    try:
+        for n in args.n:
+            m = {"window": n, "one": 1, "inf": INFINITE}[args.slack]
+            for k in args.eps_pow:
+                rows.append((n, k, space_report(n, m, 2.0**-k, seed=args.seed)))
+    except InvalidParams as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     print("n\tepsilon\tmeasured_bits\tbound_bits\tratio\tbits_per_element")
-    for n in args.n:
-        m = {"window": n, "one": 1, "inf": INFINITE}[args.slack]
-        for k in args.eps_pow:
-            rep = space_report(n, m, 2.0**-k, seed=args.seed)
-            print(f"{n}\t2^-{k}\t{rep['measured_bits']}\t{rep['bound_bits']:.0f}"
-                  f"\t{rep['ratio']:.3f}\t{rep['measured_bits'] / n:.2f}")
-    return 0
+    for n, k, rep in rows:
+        print(f"{n}\t2^-{k}\t{rep['measured_bits']}\t{rep['bound_bits']:.0f}"
+              f"\t{rep['ratio']:.3f}\t{rep['measured_bits'] / n:.2f}")
+    return EXIT_OK
 
 
 if __name__ == "__main__":

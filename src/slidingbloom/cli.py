@@ -108,11 +108,6 @@ def _utf8_stdout(release):
     return stream
 
 
-def _emit_json(obj, out):
-    out.write(json.dumps(obj, indent=2, sort_keys=True))
-    out.write("\n")
-
-
 def _run_dedup(args) -> int:
     try:
         params = derive(args.window, args.slack, args.epsilon, DEFAULT_UNIVERSE)
@@ -157,7 +152,7 @@ def _run_dedup(args) -> int:
 
         space = filt.bits_used()
         if args.out == "json":
-            _emit_json({
+            out.write(json.dumps({
                 "schema": "slidingbloom.dedup/1",
                 "items": items,
                 "flagged": flagged,
@@ -167,7 +162,8 @@ def _run_dedup(args) -> int:
                 "seed": args.seed,
                 "total_bits": space.total_bits,
                 "dictionary_bits": space.dictionary_bits,
-            }, out)
+            }, indent=2, sort_keys=True))
+            out.write("\n")
         else:
             out.write(f"items\t{items}\n")
             out.write(f"flagged\t{flagged}\n")

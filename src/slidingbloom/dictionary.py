@@ -34,9 +34,12 @@ the placement seed; their size depends only on the quotient width
 placement keeps no state per quotient class.
 
 Storage is typed. A cell holds one key 2q + side - 1 in an unsigned
-``array.array`` (a Python list once keys outgrow 64 bits), with the
-all-ones value of the key width marking an empty cell, and one tag in
-a second typed array. An empty cell's tag is 0. ``to_buffers`` and
+``array.array`` of 1, 2, 4 or 8 bytes per item, with the all-ones value
+of the key width marking an empty cell, and one tag in a second typed
+array. A geometry whose keys would need more than 64 bits (a largest
+quotient of 2**63 - 1 or more, which takes epsilon below about 2**-61
+and so a universe above 2**64) is refused with InvalidParams before
+any cell is allocated. An empty cell's tag is 0. ``to_buffers`` and
 ``restore`` move the state that cannot be derived from the constructor
 arguments (the scan cursor and the cells) in bulk, range-checking it
 on the way in. Every bulk pass sees a typed array through one numpy
@@ -81,6 +84,7 @@ from math import gcd
 
 import numpy as np
 
+from .params import InvalidParams
 from .prng import SplitMix64, derive_seed, splitmix64, splitmix64_block
 
 # the stale pre-checks in insert_or_update are unrolled for 4 cells
@@ -123,12 +127,8 @@ def _capacity_cells(element_capacity: int) -> int:
 
 
 def _width(max_value: int) -> int:
-    """Bytes per item to hold values up to max_value: 1, 2, 4, 8, then exact."""
-    need = max(1, (max_value.bit_length() + 7) // 8)
-    for width in (1, 2, 4, 8):
-        if need <= width:
-            return width
-    return need
+    """Bytes per item to hold values up to max_value below 2**64: 1, 2, 4 or 8."""
+    return next(width for width in (1, 2, 4, 8) if max_value < 1 << 8 * width)
 
 
 def _tabulation(placement_seed: int, quotient_bits: int):
@@ -205,16 +205,16 @@ class Dictionary:
         self.tag_bits = (tag_range - 1).bit_length()
 
         # keys 2q + side - 1 run up to 2*q_max + 1; the all-ones value of
-        # the key width stays above them and marks an empty cell
+        # the key width stays above them and marks an empty cell, so
+        # 64-bit keys hold quotients up to 2**63 - 2
         self._q_max = (fp_range - 1) // self.num_buckets
+        if self._q_max >= 2**63 - 1:
+            raise InvalidParams(f"{self._q_max.bit_length()}-bit quotients need cell keys "
+                                f"wider than 64 bits: raise epsilon or lower u")
         self._key_width = _width(2 * self._q_max + 2)
         self._empty = (1 << (8 * self._key_width)) - 1
         self._tag_width = _width(self.tag_range - 1)
-        code = _TYPECODES.get(self._key_width)
-        if code is None:
-            self._keys = [self._empty] * self.capacity_cells
-        else:
-            self._keys = array(code, [self._empty]) * self.capacity_cells
+        self._keys = array(_TYPECODES[self._key_width], [self._empty]) * self.capacity_cells
         self._tags = array(_TYPECODES[self._tag_width], [0]) * self.capacity_cells
 
         # the affine multipliers and the mix tables, from the placement seed
@@ -446,7 +446,7 @@ class Dictionary:
         """
         hits = _plane(self._tags) == tag
         if tag == 0:
-            hits &= self._occupied()
+            hits &= _plane(self._keys) != self._empty
         return int(np.count_nonzero(hits))
 
     def live_count(self, stale) -> int:
@@ -454,14 +454,8 @@ class Dictionary:
         key and tag planes, on demand."""
         is_stale = np.zeros(self.tag_range, dtype=bool)
         is_stale[np.fromiter(stale, dtype=np.intp, count=len(stale))] = True
-        return int(np.count_nonzero(self._occupied() & ~is_stale[_plane(self._tags)]))
-
-    def _occupied(self) -> np.ndarray:
-        """One boolean per cell: True where the cell holds a key."""
-        keys, empty = self._keys, self._empty
-        if isinstance(keys, list):
-            return np.fromiter((k != empty for k in keys), dtype=bool, count=len(keys))
-        return _plane(keys) != empty
+        occupied = _plane(self._keys) != self._empty
+        return int(np.count_nonzero(occupied & ~is_stale[_plane(self._tags)]))
 
     @property
     def quotient_bits(self) -> int:
@@ -497,18 +491,14 @@ class Dictionary:
         Planes hold capacity_cells items of key_width and tag_width
         bytes, in cell order. Geometry, widths and occupancy follow from
         the constructor arguments and the cells, so they are not written.
-        A typed plane is the live array as a numpy array of dtype
-        ``<uN`` (N the width in bytes): on a little-endian host a view,
-        not a copy, so it is valid only until the next update; on a
-        big-endian host numpy converts it to a byteswapped copy. Keys
-        wider than 64 bits are joined into bytes.
+        Each plane is the live array as a numpy array of dtype ``<uN``
+        (N the width in bytes: 1, 2, 4 or 8): on a little-endian host a
+        view, not a copy, so it is valid only until the next update; on
+        a big-endian host numpy converts it to a byteswapped copy.
         """
-        header = _HEADER.pack(self._cursor)
-        if isinstance(self._keys, list):
-            key_plane = b"".join(k.to_bytes(self._key_width, "little") for k in self._keys)
-        else:
-            key_plane = _plane(self._keys).astype(f"<u{self._key_width}", copy=False)
-        return header, key_plane, _plane(self._tags).astype(f"<u{self._tag_width}", copy=False)
+        return (_HEADER.pack(self._cursor),
+                _plane(self._keys).astype(f"<u{self._key_width}", copy=False),
+                _plane(self._tags).astype(f"<u{self._tag_width}", copy=False))
 
     def restore(self, data) -> None:
         """Replace the whole state with ``to_buffers`` output joined into
@@ -526,10 +516,10 @@ class Dictionary:
         must be below tag_range, and no empty cell may carry a tag. The
         count of empty keys gives the occupancy; per-tag counts are not
         kept. Only a refusal looks for the offending value. Each plane,
-        read as a numpy array of dtype ``<uN``, is then assigned once
-        into a numpy view of the array the constructor allocated, which
-        converts the byte order where the host's differs (keys wider
-        than 64 bits stay a list).
+        read as a numpy array of dtype ``<uN`` without a copy, is then
+        assigned once into a numpy view of the array the constructor
+        allocated, which converts the byte order where the host's
+        differs.
         """
         data = memoryview(data).cast("B")
         cap, key_width, tag_width = self.capacity_cells, self._key_width, self._tag_width
@@ -543,12 +533,7 @@ class Dictionary:
 
         key_plane, tag_plane = data[_HEADER.size:key_end], data[key_end:]
         empty, top_key = self._empty, 2 * self._q_max + 1
-        if isinstance(self._keys, list):
-            keys = [int.from_bytes(key_plane[i:i + key_width], "little")
-                    for i in range(0, len(key_plane), key_width)]
-            plane = np.array(keys, dtype=object)
-        else:
-            plane = np.frombuffer(key_plane, dtype=f"<u{key_width}")
+        plane = np.frombuffer(key_plane, dtype=f"<u{key_width}")
         vacant = plane == empty
         vacancies = int(np.count_nonzero(vacant))
         # the empty key is the largest value of its width, so the keys
@@ -565,10 +550,7 @@ class Dictionary:
             raise ValueError("nonzero tag in an empty cell")
 
         self._cursor = cursor
-        if isinstance(self._keys, list):
-            self._keys = keys
-        else:
-            _plane(self._keys)[:] = plane
+        _plane(self._keys)[:] = plane
         _plane(self._tags)[:] = tags
         self._occupancy = cap - vacancies
 

@@ -105,7 +105,8 @@ class SlidingFilter:
         derived from its inputs (``derive`` or ``create`` builds one from
         n, m, epsilon and u), so nothing is checked or derived again
         here. The fingerprint hash and the dictionary's placement both
-        derive from ``seed``, which is taken modulo 2**64.
+        derive from ``seed``, which is taken modulo 2**64. Raises
+        InvalidParams if the cell keys would need more than 64 bits.
         """
         self.params = params
         self.seed = seed & MASK64

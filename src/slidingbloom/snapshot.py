@@ -61,7 +61,10 @@ gen_modulus, tag_bits) equal to the one ``derive`` gives for the
 inputs, the dictionary section exactly as long as the parameters make
 it, and the scan cursor, the tags and the quotients in range, with a
 zero tag in every empty cell. A blob that fails any check raises
-SnapshotError.
+SnapshotError. So does a blob whose inputs ask for a geometry the
+dictionary refuses, one whose cell keys would need more than 64 bits
+(epsilon below about 2**-61, over a universe above 2**64); the
+constructor refuses it before allocating a cell.
 Versions 1 to 3 are refused: version 1 cells were placed by an earlier
 placement function, version 2 stored derived fields in other places,
 and version 3 stored a mode byte, the dictionary's placement seed and
@@ -164,9 +167,11 @@ def _decode(data: memoryview) -> SlidingFilter:
     if len(cells) < 2 * params.dict_capacity:
         raise SnapshotError(f"dictionary section of {len(cells)} bytes is too short "
                             f"for element capacity {params.dict_capacity}")
-    f = SlidingFilter(params, seed)
     try:
+        f = SlidingFilter(params, seed)
         f.restore(steps, cells)
+    except InvalidParams as exc:  # the constructor's: cell keys wider than 64 bits
+        raise SnapshotError(f"snapshot parameters invalid: {exc}") from None
     except ValueError as exc:
         raise SnapshotError(f"snapshot cells invalid: {exc}") from None
     return f

@@ -44,6 +44,16 @@ def test_dedup_distinct_tokens_not_flagged(capsys, tmp_path):
     assert stats["schema"] == "slidingbloom.dedup/1"
 
 
+def test_dedup_smallest_epsilon_at_u_2_64(capsys, tmp_path):
+    # n = 1 and epsilon just above 1/u give the CLI's widest quotients,
+    # which still fit the 64-bit cell keys
+    src = tmp_path / "in.txt"
+    src.write_text("a b a\n")
+    code, out, err = run(capsys, "dedup", "-n", "1", "-e", "1e-19", "--quiet", str(src))
+    assert (code, err) == (0, "")
+    assert out.startswith("items\t3\n")
+
+
 def test_dedup_binary_input(capsys, tmp_path):
     src = tmp_path / "in.bin"
     words = [5, 99, 5]

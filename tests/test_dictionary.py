@@ -1,7 +1,9 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slidingbloom import BUCKET_SIZE, Dictionary, InsertOverflow, dictionary
+from slidingbloom import BUCKET_SIZE, Dictionary, InsertOverflow, InvalidParams, dictionary
 from slidingbloom.prng import SplitMix64, derive_seed, splitmix64_block
 
 from cell_audit import check_consistency, entries, never_stale
@@ -290,7 +292,7 @@ def test_tabulation_block_matches_scalar_generator():
         assert splitmix64_block(seed, 300).tolist() == [rng.next64() for _ in range(300)]
 
 
-@pytest.mark.parametrize("quotient_bits", [0, 5, 12, 13, 22, 24, 36, 72])
+@pytest.mark.parametrize("quotient_bits", [0, 5, 12, 13, 22, 24, 36, 63])
 def test_tabulation_matches_its_tables(quotient_bits):
     # the unrolled one- and two-character forms agree with a plain loop
     # over the tables, each character at most 12 bits wide
@@ -351,24 +353,27 @@ def test_insert_overflow_leaves_every_cell_as_it_was():
     check_consistency(d)
 
 
-def wide_dictionary():
-    d = make(cap=300, fp_range=2**80, tag_range=32, seed=4)
-    rng = SplitMix64(9)
-    fps = {rng.below(2**80) for _ in range(250)}
-    for i, fp in enumerate(sorted(fps)):
-        d.insert_or_update(fp, i % 20, never_stale)
-    return d, fps
+# the widest fingerprint range a 300-element dictionary (84 buckets)
+# takes: its largest quotient is 2**63 - 2, so its largest key
+# 2**64 - 3 sits just below the empty key 2**64 - 1
+WIDEST = 84 * (2**63 - 1)
 
 
-def test_wide_quotients_use_exact_keys():
-    d, fps = wide_dictionary()
-    assert isinstance(d._keys, list)
-    assert {fp for _i, fp, _t in entries(d)} == fps
-    assert all(d.member(fp, never_stale) is not None for fp in fps)
-    d.scan_step(d.capacity_cells, {0})
-    expired = set(sorted(fps)[::20])
-    assert all((d.member(fp, never_stale) is None) == (fp in expired) for fp in fps)
-    check_consistency(d)
+def test_keys_wider_than_64_bits_refused():
+    d = make(cap=300, fp_range=WIDEST)
+    assert (d.num_buckets, d._q_max, d._key_width) == (84, 2**63 - 2, 8)
+    for fp_range in (WIDEST + 1, 2**80):
+        with pytest.raises(InvalidParams, match="64 bits: raise epsilon or lower u"):
+            Dictionary(300, fp_range, 32, 4)
+    # refused before any cell is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParams, match="^102-bit quotients"):
+            make(cap=10**6, fp_range=2**120)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
 
 
 def filled(fp_range=10**7, seed=5):
@@ -385,7 +390,7 @@ def saved(d):
     return b"".join(d.to_buffers())
 
 
-@pytest.mark.parametrize("fp_range", [10**3, 10**7, 10**12, 2**80])
+@pytest.mark.parametrize("fp_range", [10**3, 10**7, 10**12, WIDEST])
 def test_codec_roundtrip(fp_range):
     # restored into a fresh dictionary built with the same seed, whose
     # placement decodes the stored cells
@@ -408,8 +413,8 @@ def _cell_planes(d):
 
 
 def test_codec_range_checks():
-    # 2**80 takes the list path of keys wider than 64 bits
-    for fp_range in (10**7, 2**80):
+    # WIDEST has 8-byte keys whose largest value lies just below the empty key
+    for fp_range in (10**7, WIDEST):
         codec_range_checks(fp_range)
 
 

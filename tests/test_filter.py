@@ -8,12 +8,15 @@ from collections import Counter
 import pytest
 
 from slidingbloom import (
+    BUCKET_SIZE,
     INFINITE,
     InsertOverflow,
     InvalidParams,
     SlidingFilter,
+    derive,
     dictionary,
 )
+from slidingbloom.filter import MIN_DICT_ELEMENTS
 from slidingbloom.prng import SplitMix64
 
 from cell_audit import check_consistency, entries, never_stale
@@ -362,10 +365,13 @@ def test_resident_memory_bounded_after_first_label_cycle():
 
 
 def test_widest_quotients_round_trip():
-    # eps = 2^-70 over a 100-bit universe: 72-bit quotients, wider than
-    # any typed array, still insert, answer and snapshot exactly
-    f = SlidingFilter.create(1000, 1000, 2**-70, u=2**100, seed=9)
-    assert f.dictionary.quotient_bits == 72
+    # eps = 2^-61 over a 100-bit universe: 63-bit quotients in 8-byte
+    # keys, the widest the key plane takes, cut into 6 tabulation
+    # characters, still insert, answer and snapshot exactly
+    f = SlidingFilter.create(1000, 1000, 2**-61, u=2**100, seed=9)
+    d = f.dictionary
+    assert d.quotient_bits == 63 and d._key_width == d._keys.itemsize == 8
+    assert -(-d.quotient_bits // dictionary._MAX_CHAR_BITS) == 6
     rng = SplitMix64(4)
     xs = [rng.below(2**100) for _ in range(3000)]
     for x in xs:
@@ -376,6 +382,32 @@ def test_widest_quotients_round_trip():
     assert _snapshot(g) == _snapshot(f)
     assert all(g.query(x) for x in xs[-1000:])
     check_consistency(g.dictionary)
+
+
+def test_keys_wider_than_64_bits_refused():
+    # eps = 2^-70 over a 100-bit universe would need 72-bit quotients
+    with pytest.raises(InvalidParams, match="72-bit quotients .* raise epsilon or lower u"):
+        SlidingFilter.create(1000, 1000, 2**-70, u=2**100)
+
+
+def test_every_geometry_at_u_2_64_gets_keys_of_at_most_64_bits():
+    # the CLI and the scripts fix u = 2^64, where n < eps*u keeps the
+    # quotients far from the 64-bit key limit (a largest quotient below
+    # 2^63 - 1). Checked at the smallest valid epsilon for each n, and a
+    # few above it, from the cell count alone: no cell is allocated.
+    widest = 0
+    for n in [*range(1, 3001), *(10**k for k in range(4, 20))]:
+        for factor in (1, 1.001, 1.5, 2, 3, 1000):
+            epsilon = math.nextafter(n / U64 * factor, 1.0)
+            if epsilon >= 1.0:
+                continue
+            for m in {1, n, INFINITE}:
+                p = derive(n, m, epsilon, U64)
+                cells = dictionary._capacity_cells(max(p.dict_capacity, MIN_DICT_ELEMENTS))
+                q_max = (p.fp_range - 1) // (cells // BUCKET_SIZE)
+                assert q_max < 2**63 - 1, (n, m, epsilon)
+                widest = max(widest, (2 * q_max + 1).bit_length())
+    assert widest == 62  # n = 1, epsilon just above 2^-64: 61-bit quotients
 
 
 def _snapshot(f):

@@ -62,6 +62,13 @@ def test_space_sweep_ratio(capsys):
     assert rep["ratio"] == rep["measured_bits"] / rep["bound_bits"]
 
 
+def test_space_sweep_invalid_parameters_exit_2(capsys):
+    code, out, err = run(capsys, space_sweep, "--n", "0", "--eps-pow", "6")
+    assert code == 2
+    assert out == ""
+    assert err == "error: window size n must be a positive integer, got 0\n"
+
+
 def test_fpr_grid_parses_slack_as_dedup(capsys):
     code, out, _ = run(capsys, fpr_seed_grid, "-n", "200", "-m", " Infinity", "-e", "0.0625",
                        "-T", "2000", "--seeds", "1", "--workers", "1")

@@ -14,11 +14,13 @@ from slidingbloom import (
     INFINITE,
     SlidingFilter,
     SnapshotError,
+    derive,
     dictionary,
     load_filter,
     save_filter,
+    snapshot,
 )
-from slidingbloom.prng import SplitMix64
+from slidingbloom.prng import MASK64, SplitMix64
 
 from cell_audit import check_consistency, entries
 from stream_patterns import random_pool
@@ -340,6 +342,23 @@ def test_forged_fp_range_refused_before_it_loses_the_window():
         missed = sum(not g.query(x) for x in window)
         pytest.fail(f"fp_range + 1 loaded, and {missed} of {len(window)} window elements "
                     f"answer No")
+
+
+def test_geometry_with_keys_over_64_bits_refused(monkeypatch):
+    # eps = 2^-70 over a 100-bit universe needs 72-bit quotients: a blob
+    # asking for it, with every derived field as derive gives it and a
+    # dictionary section as long as 10-byte keys and 1-byte tags make
+    # it, is refused by the constructor before a cell is allocated
+    p = derive(1000, 1000, 2**-70, 2**100)
+    header = snapshot._HEADER.pack(
+        snapshot.MAGIC, snapshot.VERSION, 0, p.n, p.m, p.epsilon, p.u & MASK64, p.u >> 64,
+        9, p.c, p.g, p.n_prime, p.fp_range & MASK64, p.fp_range >> 64, p.gen_modulus,
+        p.tag_bits, 0, 0)
+    cells = dictionary._capacity_cells(p.dict_capacity)
+    blob = reseal(header + bytes(8 + cells * (10 + 1)))
+    monkeypatch.setattr(dictionary, "array", None)  # any allocation would raise TypeError
+    with pytest.raises(SnapshotError, match="parameters invalid: 72-bit quotients"):
+        load_filter(blob)
 
 
 def test_cell_fields_range_checked():
