@@ -59,7 +59,8 @@ the scanner (``scan_step``). Before the reclaim loop runs on such a
 full bucket, one membership test per cell, which allocates nothing,
 decides whether any of its tags is stale, and the loop runs only when
 one is. ``member`` is read-only: it filters stale hits out of its
-answer but leaves them in place.
+answer but leaves them in place. An insert or a lookup computes bucket
+2 only after bucket 1 misses its key.
 
 When both candidate buckets are full of live cells, a breadth-first
 search over the other buckets of the cells met finds the nearest
@@ -67,7 +68,8 @@ bucket with room, and the cells on the path to it each move one step
 (the practical form of de-amortized cuckoo hashing; Fan, Andersen and
 Kaminsky, MemC3, NSDI 2013). Nothing moves before a path is found, and
 no random choice is made, so the cells are a function of the insert
-sequence and the seed alone.
+sequence and the seed alone. A search step finds a cell's other bucket
+with one product by a precomputed cross multiplier, A_1/A_2 or A_2/A_1.
 
 Geometry and policy: BUCKET_SIZE = 4, two bucket choices, eviction
 search capped at MAX_SEARCH = 200 visited buckets, cell count sized
@@ -234,8 +236,9 @@ class Dictionary:
             a2 = draw_unit()
         self._mult1 = a1
         self._mult2 = a2
-        self._inv1 = pow(a1, -1, nb)
-        self._inv2 = pow(a2, -1, nb)
+        # the cross multipliers of the eviction search: A_1 / A_2 and A_2 / A_1
+        self._cross12 = a1 * pow(a2, -1, nb) % nb
+        self._cross21 = a2 * pow(a1, -1, nb) % nb
         # q -> h, whose lowest two base-nb digits are the two mixes
         self._mix = _tabulation(placement_seed, self._q_max.bit_length())
 
@@ -247,15 +250,8 @@ class Dictionary:
         self.last_op_cells = 0
         self.last_op_kicks = 0
         self.max_kick_chain = 0
-
-    # -- placement ---------------------------------------------------------
-
-    def buckets_for(self, fp: int) -> tuple[int, int]:
-        """The two candidate buckets of a fingerprint (side 1, side 2)."""
-        nb = self.num_buckets
-        q, r = divmod(fp, nb)
-        h = self._mix(q)
-        return (self._mult1 * r + h) % nb, (self._mult2 * r + h // nb) % nb
+        # member calls that looked in the second bucket too
+        self.second_probes = 0
 
     # -- core operations ----------------------------------------------------
 
@@ -276,6 +272,7 @@ class Dictionary:
         base = (self._mult2 * r + h // nb) % nb * BUCKET_SIZE
         cells = keys[base:base + BUCKET_SIZE]
         self.last_op_cells = 2 * BUCKET_SIZE
+        self.second_probes += 1
         if key in cells:
             t = self._tags[base + cells.index(key)]
             return None if t in stale else t
@@ -298,25 +295,22 @@ class Dictionary:
         self.last_op_kicks = 0
 
         key1 = q << 1
-        key2 = key1 + 1
         b1 = (self._mult1 * r + h) % nb
-        b2 = (self._mult2 * r + h // nb) % nb
         base1 = b1 * BUCKET_SIZE
-        base2 = b2 * BUCKET_SIZE
         cells1 = keys[base1:base1 + BUCKET_SIZE]
-        cells2 = keys[base2:base2 + BUCKET_SIZE]
-
         if key1 in cells1:
-            i = base1 + cells1.index(key1)
-        elif key2 in cells2:
-            i = base2 + cells2.index(key2)
-        else:
-            i = -1
-        if i >= 0:
-            tags[i] = tag
+            tags[base1 + cells1.index(key1)] = tag
+            return
+        key2 = key1 + 1
+        b2 = (self._mult2 * r + h // nb) % nb
+        base2 = b2 * BUCKET_SIZE
+        cells2 = keys[base2:base2 + BUCKET_SIZE]
+        if key2 in cells2:
+            tags[base2 + cells2.index(key2)] = tag
             return
 
         empty = self._empty
+        i = -1
         if empty in cells1:
             i, key = base1 + cells1.index(empty), key1
         elif empty in cells2:
@@ -343,7 +337,7 @@ class Dictionary:
         # through it twice would move a cell twice and duplicate it.
         # Nothing moves until the path is found; then each of its cells
         # moves one step, from the free end back to the root bucket.
-        mult1, mult2, inv1, inv2 = self._mult1, self._mult2, self._inv1, self._inv2
+        cross12, cross21 = self._cross12, self._cross21
         mix = self._mix
         # (bucket, index of the entry the moving cell comes from, that cell)
         path = [(b1, -1, -1), (b2, -1, -1)]
@@ -355,9 +349,9 @@ class Dictionary:
                 key = keys[src]
                 h = mix(key >> 1)
                 if key & 1:
-                    alt = (mult1 * ((b - h // nb) * inv2 % nb) + h) % nb
+                    alt = (cross12 * (b - h // nb) + h) % nb
                 else:
-                    alt = (mult2 * ((b - h) * inv1 % nb) + h // nb) % nb
+                    alt = (cross21 * (b - h) + h // nb) % nb
                 if alt in seen:
                     continue
                 seen.add(alt)

@@ -12,7 +12,8 @@ whole table within those (c+2)*g inserts and expired cells are
 physically gone before their label is handed out again, keeping
 per-operation work bounded. Inserts also reclaim the stale cells of a
 bucket they need room in, so expired cells never block an insert, but
-the label guarantee rests on the scanner alone.
+the label guarantee rests on the scanner alone. ``gen_pos`` and the
+insert count follow from ``steps``.
 
 An insert whose eviction search finds no room (``InsertOverflow``; not
 seen at the 0.9 load target) is final: its element is in no cell, so
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dictionary import Dictionary, InsertOverflow
+from .dictionary import BUCKET_SIZE, Dictionary, InsertOverflow
 from .hashing import UniversalHash, new_hash
 from .params import FilterParams, derive
 from .prng import MASK64, derive_seed
@@ -128,15 +129,14 @@ class SlidingFilter:
         # degenerate tiny geometries
         span = (params.c + 2) * params.g
         self._scan_width = max(2, -(-self._dict.capacity_cells // span))
-        self._set_generation(0, 0)
+        self._set_generation(0)
 
-        self._ins_n = 0
+        # cost statistics count from here, or from the step of a load
+        self._start_steps = 0
         self._ins_sum = 0
         self._ins_max = 0
         self._ins_max_nokick = 0
-        self._q_n = 0
-        self._q_sum = 0
-        self._q_max = 0
+        self._queries = 0
 
     def restore(self, steps: int, cells) -> None:
         """Resume saved state in this freshly built filter.
@@ -148,15 +148,12 @@ class SlidingFilter:
         dictionary.
         """
         self._dict.restore(cells)
-        self.steps = steps
-        boundaries, gen_pos = divmod(steps, self.params.g)
-        self._set_generation(gen_pos, boundaries % self.params.gen_modulus)
+        self.steps = self._start_steps = steps
+        self._set_generation(self.boundaries % self.params.gen_modulus)
 
-    def _set_generation(self, gen_pos: int, gen_label: int) -> None:
-        """Set the position inside the generation, in [0, g), and the
-        current label, in [0, gen_modulus); recomputes the set of stale
-        labels, those more than c generations old."""
-        self.gen_pos = gen_pos
+    def _set_generation(self, gen_label: int) -> None:
+        """Set the current label, in [0, gen_modulus), and recompute the
+        set of stale labels, those more than c generations old."""
         self.gen_label = gen_label
         g_mod = self.params.gen_modulus
         self._stale = {t for t in range(g_mod) if (gen_label - t) % g_mod > self.params.c}
@@ -195,15 +192,11 @@ class SlidingFilter:
         cells = scan + d.last_op_cells
         kicks = d.last_op_kicks
 
-        self.steps += 1
-        pos = self.gen_pos + 1
-        if pos == self.params.g:
-            self.gen_pos = 0
+        steps = self.steps + 1
+        self.steps = steps
+        if steps % self.params.g == 0:
             self._advance_label()
-        else:
-            self.gen_pos = pos
 
-        self._ins_n += 1
         self._ins_sum += cells
         if cells > self._ins_max:
             self._ins_max = cells
@@ -224,13 +217,8 @@ class SlidingFilter:
             self._check_element(x)
         h = self.hash
         fp = ((h.a * x) % h.p) % h.range_size
-        tag = self._dict.member(fp, self._stale)
-        cells = self._dict.last_op_cells
-        self._q_n += 1
-        self._q_sum += cells
-        if cells > self._q_max:
-            self._q_max = cells
-        return tag is not None
+        self._queries += 1
+        return self._dict.member(fp, self._stale) is not None
 
     # -- introspection ---------------------------------------------------------
 
@@ -238,6 +226,12 @@ class SlidingFilter:
     def boundaries(self) -> int:
         """Generation boundaries crossed so far."""
         return self.steps // self.params.g
+
+    @property
+    def gen_pos(self) -> int:
+        """Position inside the current generation, in [0, g): 0 right
+        after a boundary."""
+        return self.steps % self.params.g
 
     def active_count(self) -> int:
         """Stored fingerprints whose tag is currently active (one sweep of the cells)."""
@@ -260,14 +254,20 @@ class SlidingFilter:
         )
 
     def step_cost_stats(self) -> CostReport:
+        """Touched cells since construction or load. The insert count is
+        the steps taken since then; a query looks at one bucket, or at
+        two when the dictionary counted a second probe."""
+        inserts = self.steps - self._start_steps
+        queries = self._queries
+        second = self._dict.second_probes
         return CostReport(
-            inserts=self._ins_n,
+            inserts=inserts,
             insert_cells_max=self._ins_max,
             insert_cells_max_no_kicks=self._ins_max_nokick,
-            insert_cells_mean=(self._ins_sum / self._ins_n) if self._ins_n else 0.0,
-            queries=self._q_n,
-            query_cells_max=self._q_max,
-            query_cells_mean=(self._q_sum / self._q_n) if self._q_n else 0.0,
+            insert_cells_mean=(self._ins_sum / inserts) if inserts else 0.0,
+            queries=queries,
+            query_cells_max=(2 * BUCKET_SIZE if second else BUCKET_SIZE) if queries else 0,
+            query_cells_mean=BUCKET_SIZE * (queries + second) / queries if queries else 0.0,
             max_kick_chain=self._dict.max_kick_chain,
             scan_width=self._scan_width,
         )

@@ -12,18 +12,27 @@ from slidingbloom import BUCKET_SIZE
 never_stale = frozenset()
 
 
+def buckets_for(d, fp: int) -> tuple[int, int]:
+    """The two candidate buckets of a fingerprint in d (side 1, side 2)."""
+    nb = d.num_buckets
+    q, r = divmod(fp, nb)
+    h = d._mix(q)
+    return (d._mult1 * r + h) % nb, (d._mult2 * r + h // nb) % nb
+
+
 def entries(d):
     """Yield (cell_index, fingerprint, tag) for every occupied cell of d."""
     nb = d.num_buckets
+    inv1, inv2 = pow(d._mult1, -1, nb), pow(d._mult2, -1, nb)
     for i, key in enumerate(d._keys):
         if key == d._empty:
             continue
         q, bucket = key >> 1, i // BUCKET_SIZE
         h = d._mix(q)
         if key & 1:
-            r = (bucket - h // nb) * d._inv2 % nb
+            r = (bucket - h // nb) * inv2 % nb
         else:
-            r = (bucket - h) * d._inv1 % nb
+            r = (bucket - h) * inv1 % nb
         yield i, q * nb + r, d._tags[i]
 
 
@@ -35,7 +44,7 @@ def check_consistency(d) -> None:
         if fp in seen:
             raise AssertionError(f"duplicate fingerprint {fp} in cells {seen[fp]} and {i}")
         seen[fp] = i
-        if i // BUCKET_SIZE not in d.buckets_for(fp):
+        if i // BUCKET_SIZE not in buckets_for(d, fp):
             raise AssertionError(f"cell {i} outside candidate buckets of fp {fp}")
     if len(seen) != d.occupancy():
         raise AssertionError(f"occupancy counter {d.occupancy()} != swept {len(seen)}")

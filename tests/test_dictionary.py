@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from slidingbloom import BUCKET_SIZE, Dictionary, InsertOverflow, InvalidParams, dictionary
 from slidingbloom.prng import SplitMix64, derive_seed, splitmix64_block
 
-from cell_audit import check_consistency, entries, never_stale
+from cell_audit import buckets_for, check_consistency, entries, never_stale
 
 
 def make(cap=100, fp_range=100_000, tag_range=16, seed=0):
@@ -64,7 +64,7 @@ def test_match_in_bucket_2_is_updated_in_place():
         fp = rng.below(10**6)
         d.insert_or_update(fp, 1, never_stale)
         cell = next(i for i, f, _t in entries(d) if f == fp)
-        b1, b2 = d.buckets_for(fp)
+        b1, b2 = buckets_for(d, fp)
         if cell // BUCKET_SIZE == b2 != b1:
             break
     d.insert_or_update(fp, 2, never_stale)
@@ -202,7 +202,7 @@ def test_stale_cells_never_block_insert():
     # then insert: reclamation must make room without a single kick
     d = make(cap=60, fp_range=10**6, seed=9)
     target = 555_000
-    b1, b2 = d.buckets_for(target)
+    b1, b2 = buckets_for(d, target)
 
     def filled(bucket):
         return sum(1 for i, _fp, _t in entries(d) if i // BUCKET_SIZE == bucket)
@@ -210,7 +210,7 @@ def test_stale_cells_never_block_insert():
     rng = SplitMix64(4)
     while filled(b1) < BUCKET_SIZE or filled(b2) < BUCKET_SIZE:
         fp = rng.below(10**6)
-        if fp != target and {b1, b2} & set(d.buckets_for(fp)):
+        if fp != target and {b1, b2} & set(buckets_for(d, fp)):
             d.insert_or_update(fp, 3, never_stale)
     d.insert_or_update(target, 1, {3})
     assert d.last_op_kicks == 0

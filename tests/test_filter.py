@@ -241,6 +241,58 @@ def test_cost_report_bounds():
     assert cost.insert_cells_mean >= 2  # scan alone touches that much
 
 
+def queried_cells(f, xs):
+    """The cells each query of xs reads, as its dictionary reports them."""
+    cells = []
+    for x in xs:
+        f.query(x)
+        cells.append(f.dictionary.last_op_cells)
+    return cells
+
+
+@pytest.mark.parametrize("case", ["none", "first-bucket", "mixed"])
+def test_query_cost_fields_match_per_query_cells(case):
+    # the query fields are derived from two counts; a reference built from
+    # the cells each member call reports must give the same figures
+    f = SlidingFilter.create(1000, 1000, 2**-8, seed=4)
+    inserted = list(range(0, 3000, 3)) if case == "mixed" else [5, 50, 500]
+    for x in inserted:
+        f.insert(x)
+    if case == "none":
+        cells = []
+    elif case == "first-bucket":
+        # a lightly loaded dictionary puts each element in its first bucket
+        cells = queried_cells(f, inserted * 3)
+        assert set(cells) == {BUCKET_SIZE}
+    else:
+        cells = queried_cells(f, range(2000))
+        assert set(cells) == {BUCKET_SIZE, 2 * BUCKET_SIZE}
+    cost = f.step_cost_stats()
+    fields = (cost.queries, cost.query_cells_max, cost.query_cells_mean)
+    assert fields == (len(cells), max(cells, default=0),
+                      sum(cells) / len(cells) if cells else 0.0)
+    if case != "mixed":
+        assert fields[1:] == ((BUCKET_SIZE, 4.0) if cells else (0, 0.0))
+
+
+def test_cost_counts_start_at_construction_or_load():
+    f = SlidingFilter.create(200, 100, 2**-6, seed=1)
+    for x in range(700):
+        f.insert(x)
+    f.query(3)
+    assert (f.step_cost_stats().inserts, f.step_cost_stats().queries) == (700, 1)
+    blob = io.BytesIO()
+    f.save(blob)
+    g = SlidingFilter.load(blob.getvalue())
+    assert (g.steps, g.gen_pos) == (700, 700 % g.params.g)
+    cost = g.step_cost_stats()
+    assert (cost.inserts, cost.insert_cells_mean, cost.queries, cost.query_cells_max) == (0, 0.0, 0, 0)
+    for x in range(5):
+        g.insert(x)
+    g.query(3)
+    assert (g.step_cost_stats().inserts, g.step_cost_stats().queries) == (5, 1)
+
+
 def overflow_stream(seed, length=12_000):
     rng = SplitMix64(seed + 100)
     return [rng.below(2**63) for _ in range(length)]
