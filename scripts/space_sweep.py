@@ -54,8 +54,8 @@ def space_report(n: int, m, epsilon: float, seed: int, u: int = DEFAULT_UNIVERSE
         "ratio": space.total_bits / bound,
         "counters_and_hash_bits": space.counters_and_hash_bits,
         "dictionary_bits": space.dictionary_bits,
-        "cell_bits": space.dictionary.cell_bits,
-        "capacity_cells": space.dictionary.capacity_cells,
+        "cell_bits": space.cell_bits,
+        "capacity_cells": space.capacity_cells,
     }
 
 

@@ -45,9 +45,9 @@ arguments (the scan cursor and the cells) in bulk, range-checking it
 on the way in. Every bulk pass sees a typed array through one numpy
 view (``_plane``); the codec converts it to and from the little-endian
 dtype ``<uN`` (N the width in bytes), which is the same array on a
-little-endian host. Only the occupancy is counted as cells change;
-``tag_count`` and ``live_count`` sweep the planes on demand, so no
-update pays for them.
+little-endian host. Nothing is counted as cells change; ``occupancy``
+and ``live_count`` sweep the planes on demand, so no update pays for
+them.
 
 Staleness is the caller's notion: every operation takes ``stale``, the
 set of tags that are stale now (a ``set`` or ``frozenset`` of ints; the
@@ -81,7 +81,6 @@ from __future__ import annotations
 
 import struct
 from array import array
-from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
@@ -168,20 +167,6 @@ def _tabulation(placement_seed: int, quotient_bits: int):
     return mix
 
 
-@dataclass(frozen=True)
-class DictSpaceReport:
-    """Itemized notional bit layout of one dictionary."""
-
-    capacity_cells: int
-    cell_bits: int
-    cells_total_bits: int
-    cursor_bits: int
-    occupancy_bits: int
-    seed_bits: int
-    overhead_bits: int
-    total_bits: int
-
-
 class Dictionary:
     """Cuckoo-hashed store of fingerprint -> tag with ordered cell scanning."""
 
@@ -243,10 +228,10 @@ class Dictionary:
         self._mix = _tabulation(placement_seed, self._q_max.bit_length())
 
         self._cursor = 0
-        self._occupancy = 0
 
-        # per-operation instrumentation (cells counted bucket-granular;
-        # a kick is one cell moved along an eviction path)
+        # instrumentation of the last member or insert_or_update (cells
+        # counted bucket-granular; a kick is one cell moved along an
+        # eviction path); scan_step writes none, its caller knows k
         self.last_op_cells = 0
         self.last_op_kicks = 0
         self.max_kick_chain = 0
@@ -327,7 +312,6 @@ class Dictionary:
         if i >= 0:
             keys[i] = key
             tags[i] = tag
-            self._occupancy += 1
             return
 
         # both candidate buckets full of live cells: search breadth-first,
@@ -376,7 +360,6 @@ class Dictionary:
                     _b, j, src = path[j]
                 keys[i] = key1 if i // BUCKET_SIZE == b1 else key2
                 tags[i] = tag
-                self._occupancy += 1
                 self.last_op_cells = len(path) * BUCKET_SIZE
                 self.last_op_kicks = moves
                 if moves > self.max_kick_chain:
@@ -387,7 +370,7 @@ class Dictionary:
         self.last_op_cells = len(path) * BUCKET_SIZE
         raise InsertOverflow(
             f"no placement for fingerprint {fp} within {MAX_SEARCH} buckets "
-            f"(occupancy {self._occupancy}/{self.capacity_cells})",
+            f"(occupancy {self.occupancy()}/{self.capacity_cells})",
             fp, tag,
         )
 
@@ -401,7 +384,6 @@ class Dictionary:
                 self._keys[i] = self._empty
                 tags[i] = 0
                 freed += 1
-        self._occupancy -= freed
         return freed
 
     def scan_step(self, k: int, stale) -> int:
@@ -423,25 +405,14 @@ class Dictionary:
             stop -= cap
             freed = self._reclaim(cur, cap, stale) + self._reclaim(0, stop, stale)
         self._cursor = stop
-        self.last_op_cells = k
         return freed
 
     # -- accounting and introspection ----------------------------------------
 
     def occupancy(self) -> int:
-        """Occupied cells, including stale ones not yet reclaimed."""
-        return self._occupancy
-
-    def tag_count(self, tag: int) -> int:
-        """Occupied cells currently carrying this tag (stale included).
-
-        One sweep of the tag plane, on demand; tag 0 also sweeps the key
-        plane, since empty cells carry tag 0 too.
-        """
-        hits = _plane(self._tags) == tag
-        if tag == 0:
-            hits &= _plane(self._keys) != self._empty
-        return int(np.count_nonzero(hits))
+        """Occupied cells, including stale ones not yet reclaimed: one
+        sweep of the key plane, on demand."""
+        return int(np.count_nonzero(_plane(self._keys) != self._empty))
 
     def live_count(self, stale) -> int:
         """Occupied cells whose tag is not in ``stale``: one sweep of the
@@ -455,26 +426,18 @@ class Dictionary:
     def quotient_bits(self) -> int:
         return self._q_max.bit_length()
 
-    def bits_used(self) -> DictSpaceReport:
-        """Notional packed size of the structure, itemized: an occupied
-        flag, the quotient, the side bit and the tag per cell, plus the
+    @property
+    def cell_bits(self) -> int:
+        """Notional packed bits per cell: an occupied flag, the quotient,
+        the side bit and the tag."""
+        return 1 + self.quotient_bits + 1 + self.tag_bits
+
+    def bits_used(self) -> int:
+        """Notional packed size of the structure: every cell, plus the
         cursor, occupancy and seed words."""
-        cell_bits = 1 + self.quotient_bits + 1 + self.tag_bits
-        cells_total = self.capacity_cells * cell_bits
-        cursor_bits = max(1, (self.capacity_cells - 1).bit_length())
-        occupancy_bits = max(1, self.capacity_cells.bit_length())
-        seed_bits = 64
-        overhead = cursor_bits + occupancy_bits + seed_bits
-        return DictSpaceReport(
-            capacity_cells=self.capacity_cells,
-            cell_bits=cell_bits,
-            cells_total_bits=cells_total,
-            cursor_bits=cursor_bits,
-            occupancy_bits=occupancy_bits,
-            seed_bits=seed_bits,
-            overhead_bits=overhead,
-            total_bits=cells_total + overhead,
-        )
+        cap = self.capacity_cells
+        return (cap * self.cell_bits + max(1, (cap - 1).bit_length())
+                + max(1, cap.bit_length()) + 64)
 
     # -- bulk codec -------------------------------------------------------------
 
@@ -507,9 +470,9 @@ class Dictionary:
 
         The planes are checked by counting over whole arrays: keys above
         the largest in-range key must all be empty keys, the largest tag
-        must be below tag_range, and no empty cell may carry a tag. The
-        count of empty keys gives the occupancy; per-tag counts are not
-        kept. Only a refusal looks for the offending value. Each plane,
+        must be below tag_range, and no empty cell may carry a tag. No
+        count is kept: the occupancy is swept from the key plane on
+        demand. Only a refusal looks for the offending value. Each plane,
         read as a numpy array of dtype ``<uN`` without a copy, is then
         assigned once into a numpy view of the array the constructor
         allocated, which converts the byte order where the host's
@@ -546,7 +509,6 @@ class Dictionary:
         self._cursor = cursor
         _plane(self._keys)[:] = plane
         _plane(self._tags)[:] = tags
-        self._occupancy = cap - vacancies
 
 
 def _plane(items: array) -> np.ndarray:

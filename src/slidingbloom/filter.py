@@ -70,15 +70,15 @@ class _Unusable:
 
 @dataclass(frozen=True)
 class SpaceReport:
-    """Notional bit footprint of a filter, itemized."""
+    """Notional bit footprint of a filter: the dictionary's bits, those
+    of the generation position and label counters and the hash's two
+    words, and the dictionary's cell count and bits per cell."""
 
-    dictionary_bits: int
-    gen_pos_bits: int
-    gen_label_bits: int
-    hash_bits: int
-    counters_and_hash_bits: int
     total_bits: int
-    dictionary: object  # DictSpaceReport
+    dictionary_bits: int
+    counters_and_hash_bits: int
+    capacity_cells: int
+    cell_bits: int
 
 
 @dataclass(frozen=True)
@@ -238,19 +238,16 @@ class SlidingFilter:
         return self._dict.live_count(self._stale)
 
     def bits_used(self) -> SpaceReport:
-        dict_report = self._dict.bits_used()
-        gen_pos_bits = max(1, (self.params.g - 1).bit_length())
-        gen_label_bits = self.params.tag_bits
-        hash_bits = 2 * self.hash.p.bit_length()
-        aux = gen_pos_bits + gen_label_bits + hash_bits
+        d = self._dict
+        dictionary_bits = d.bits_used()
+        aux = (max(1, (self.params.g - 1).bit_length()) + self.params.tag_bits
+               + 2 * self.hash.p.bit_length())
         return SpaceReport(
-            dictionary_bits=dict_report.total_bits,
-            gen_pos_bits=gen_pos_bits,
-            gen_label_bits=gen_label_bits,
-            hash_bits=hash_bits,
+            total_bits=dictionary_bits + aux,
+            dictionary_bits=dictionary_bits,
             counters_and_hash_bits=aux,
-            total_bits=dict_report.total_bits + aux,
-            dictionary=dict_report,
+            capacity_cells=d.capacity_cells,
+            cell_bits=d.cell_bits,
         )
 
     def step_cost_stats(self) -> CostReport:

@@ -108,14 +108,15 @@ class FilterParams:
 
     @property
     def dict_capacity(self) -> int:
-        """Element capacity the dictionary is sized for.
+        """Element capacity the dictionary is sized for: (c+1)*g.
 
-        (c+1)*g, which equals n_prime whenever c divides n. With ragged
-        division the stream can legitimately keep up to (c+1)*g
-        fingerprints live at once, so sizing for n_prime alone would be
-        an overflow hazard.
+        It equals n_prime whenever c divides n. With ragged division the
+        stream can legitimately keep up to (c+1)*g fingerprints live at
+        once, so sizing for n_prime alone would be an overflow hazard.
+        It is never below n_prime: g = ceil(n/c) gives c*g >= n, so
+        (c+1)*g >= n + g = n_prime.
         """
-        return max(self.n_prime, (self.c + 1) * self.g)
+        return (self.c + 1) * self.g
 
 
 def derive(n: int, m, epsilon: float, u: int) -> FilterParams:

@@ -32,10 +32,10 @@ a u32, zlib.crc32 of every byte before it.
 Loading builds the filter through its constructor, which derives the
 hash, the scan width and the dictionary's geometry and cell widths, then
 resumes it at ``steps`` (generation position, boundary count and label
-follow) with the stored dictionary state (the occupancy follows from the
-cells; no per-tag counts are kept). The blob, in any buffer (bytes,
-bytearray, memoryview, mmap), is read through one memoryview: neither
-it, the checksummed body nor the cells are copied.
+follow) with the stored dictionary state (no count is kept; the
+occupancy is swept from the cells on demand). The blob, in any buffer
+(bytes, bytearray, memoryview, mmap), is read through one memoryview:
+neither it, the checksummed body nor the cells are copied.
 The key and tag planes are range-checked with whole-array counts and
 assigned once into numpy views of the arrays the constructor allocated,
 which converts the byte order on a big-endian host. A key is

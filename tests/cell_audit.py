@@ -3,11 +3,15 @@
 ``entries`` decodes every occupied cell back to its fingerprint by
 inverting the placement map of the cell's side, and
 ``check_consistency`` reads the cells through it and ``buckets_for``
-only, so it checks the decode as well as the placement. ``never_stale``
+only, so it checks the decode as well as the placement. ``tag_count``
+counts the cells of one tag with a sweep of the planes. ``never_stale``
 is the stale set of a caller to whom no tag is ever stale.
 """
 
+import numpy as np
+
 from slidingbloom import BUCKET_SIZE
+from slidingbloom.dictionary import _plane
 
 never_stale = frozenset()
 
@@ -36,9 +40,22 @@ def entries(d):
         yield i, q * nb + r, d._tags[i]
 
 
+def tag_count(d, tag: int) -> int:
+    """Occupied cells of d carrying this tag (stale included).
+
+    One sweep of the tag plane; tag 0 also sweeps the key plane, since
+    empty cells carry tag 0 too.
+    """
+    hits = _plane(d._tags) == tag
+    if tag == 0:
+        hits &= _plane(d._keys) != d._empty
+    return int(np.count_nonzero(hits))
+
+
 def check_consistency(d) -> None:
     """No fingerprint is stored twice, every cell sits in a candidate
-    bucket of its fingerprint, and the occupancy counter matches."""
+    bucket of its fingerprint, and the occupancy sweep counts the cells
+    the decode found."""
     seen: dict[int, int] = {}
     for i, fp, _tag in entries(d):
         if fp in seen:
@@ -47,4 +64,4 @@ def check_consistency(d) -> None:
         if i // BUCKET_SIZE not in buckets_for(d, fp):
             raise AssertionError(f"cell {i} outside candidate buckets of fp {fp}")
     if len(seen) != d.occupancy():
-        raise AssertionError(f"occupancy counter {d.occupancy()} != swept {len(seen)}")
+        raise AssertionError(f"occupancy sweep {d.occupancy()} != decoded cells {len(seen)}")

@@ -9,6 +9,8 @@ build it in place of the plain filter.
 
 from slidingbloom import SlidingFilter
 
+from cell_audit import tag_count
+
 
 class LabelReuseViolation(AssertionError):
     """A generation label was reused while cells still carried it."""
@@ -18,7 +20,7 @@ class CheckedFilter(SlidingFilter):
     def _advance_label(self) -> None:
         super()._advance_label()
         label = self.gen_label
-        tagged = self.dictionary.tag_count(label)
+        tagged = tag_count(self.dictionary, label)
         if tagged:
             raise LabelReuseViolation(f"label {label} reused with {tagged} cells still tagged")
         if self.boundaries % 97 == 1:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from slidingbloom import BUCKET_SIZE, Dictionary, InsertOverflow, InvalidParams, dictionary
 from slidingbloom.prng import SplitMix64, derive_seed, splitmix64_block
 
-from cell_audit import buckets_for, check_consistency, entries, never_stale
+from cell_audit import buckets_for, check_consistency, entries, never_stale, tag_count
 
 
 def make(cap=100, fp_range=100_000, tag_range=16, seed=0):
@@ -51,7 +51,7 @@ def test_update_with_the_same_tag_keeps_the_counts():
     d = make()
     d.insert_or_update(42, 3, never_stale)
     d.insert_or_update(42, 3, never_stale)
-    assert d.tag_count(3) == 1 and d.occupancy() == 1
+    assert tag_count(d, 3) == 1 and d.occupancy() == 1
     check_consistency(d)
 
 
@@ -71,7 +71,7 @@ def test_match_in_bucket_2_is_updated_in_place():
     d.scan_step(d.capacity_cells, {1})  # empties fp's first bucket
     assert d.occupancy() == 1
     d.insert_or_update(fp, 3, never_stale)
-    assert d.occupancy() == 1 and d.tag_count(3) == 1
+    assert d.occupancy() == 1 and tag_count(d, 3) == 1
     assert [(i, f) for i, f, _t in entries(d)] == [(cell, fp)]
     check_consistency(d)
 
@@ -85,7 +85,7 @@ def test_scan_frees_a_stale_cell_beside_an_empty_one_while_0_is_stale():
     if cell:
         d.scan_step(cell, never_stale)
     assert d.scan_step(2, {0}) == 1
-    assert d.occupancy() == 0 and d.tag_count(0) == 0
+    assert d.occupancy() == 0 and tag_count(d, 0) == 0
     assert d.scan_step(2, {0}) == 0 and d.occupancy() == 0
     check_consistency(d)
 
@@ -161,7 +161,6 @@ def test_scan_cursor_wraps_and_counts_touched():
     d = make(cap=20)
     cap = d.capacity_cells
     d.scan_step(3, never_stale)
-    assert d.last_op_cells == 3
     for _ in range(cap):
         d.scan_step(3, never_stale)
     assert d._cursor == (3 * (cap + 1)) % cap
@@ -178,7 +177,7 @@ def test_scan_width_bounded_by_one_lap():
         assert d._cursor == 5 and d.occupancy() == 1
     # the widest step laps the table once from wherever the cursor is
     assert d.scan_step(cap, {4}) == 1
-    assert d._cursor == 5 and d.last_op_cells == cap
+    assert d._cursor == 5
     assert d.occupancy() == 0
 
 
@@ -193,8 +192,6 @@ def test_bounded_work_member_delete_insert():
         assert d.last_op_cells <= BUCKET_SIZE * sum(2 * BUCKET_SIZE**k for k in depths)
     d.member(12345, never_stale)
     assert d.last_op_cells <= 2 * BUCKET_SIZE
-    d.scan_step(2, {1})
-    assert d.last_op_cells == 2
 
 
 def test_stale_cells_never_block_insert():
@@ -230,11 +227,13 @@ def test_insert_overflow_surfaces():
 
 def test_bits_used_quotient_accounting():
     d = Dictionary(element_capacity=14, fp_range=32, tag_range=8, seed=0)
-    rep = d.bits_used()
-    assert rep.total_bits == rep.cells_total_bits + rep.overhead_bits
+    cap = d.capacity_cells
+    # every cell, plus the cursor, occupancy and seed words
+    words = max(1, (cap - 1).bit_length()) + max(1, cap.bit_length()) + 64
+    assert d.bits_used() == cap * d.cell_bits + words
     q_bits = ((32 - 1) // d.num_buckets).bit_length()
-    assert rep.cell_bits == 1 + q_bits + 1 + 3
-    assert rep.cell_bits < 1 + 5 + 3  # strictly smaller than full fingerprints
+    assert d.cell_bits == 1 + q_bits + 1 + 3
+    assert d.cell_bits < 1 + 5 + 3  # strictly smaller than full fingerprints
 
 
 def test_bits_used_independent_of_content():
@@ -402,8 +401,8 @@ def test_codec_roundtrip(fp_range):
     assert list(entries(e)) == list(entries(d))
     assert e._cursor == d._cursor
     assert e.occupancy() == d.occupancy()
-    assert [e.tag_count(t) for t in range(e.tag_range)] == \
-        [d.tag_count(t) for t in range(d.tag_range)]
+    assert [tag_count(e, t) for t in range(e.tag_range)] == \
+        [tag_count(d, t) for t in range(d.tag_range)]
     check_consistency(e)
 
 

@@ -19,7 +19,7 @@ from slidingbloom import (
 from slidingbloom.filter import MIN_DICT_ELEMENTS
 from slidingbloom.prng import SplitMix64
 
-from cell_audit import check_consistency, entries, never_stale
+from cell_audit import check_consistency, entries, never_stale, tag_count
 from checked_filter import CheckedFilter, LabelReuseViolation, is_active_tag
 from overflow_run import assert_refuses_every_use, run_to_overflow
 from reference_model import CRITERION_6_CONFIGS, sweep_mismatches
@@ -222,8 +222,25 @@ def test_space_report_structure():
     assert rep.total_bits == rep.dictionary_bits + rep.counters_and_hash_bits
     assert rep.counters_and_hash_bits <= 4 * 64  # four machine words for u <= 2^64
     assert rep.counters_and_hash_bits / rep.total_bits <= 0.01
-    d = rep.dictionary
-    assert d.total_bits == d.cells_total_bits + d.overhead_bits
+    d = f.dictionary
+    assert (rep.capacity_cells, rep.cell_bits) == (d.capacity_cells, d.cell_bits)
+    # every cell, plus the cursor, occupancy and seed words
+    cap = rep.capacity_cells
+    words = max(1, (cap - 1).bit_length()) + max(1, cap.bit_length()) + 64
+    assert rep.dictionary_bits == cap * rep.cell_bits + words
+
+
+@pytest.mark.parametrize("n, m, eps, pinned", [
+    (10**5, INFINITE, 2**-10, (2322503, 2322354, 149, 19, 122224)),
+    (10**4, 10**4, 2**-10, (232493, 232348, 145, 19, 12224)),
+    (10**4, INFINITE, 2**-20, (350397, 350252, 145, 30, 11672)),
+    (64, 64, 2**-10, (1888, 1750, 138, 19, 88)),
+])
+def test_space_totals_pinned(n, m, eps, pinned):
+    # dedup prints the first two, so the notional layout must not move
+    rep = SlidingFilter.create(n, m, eps, seed=1).bits_used()
+    assert (rep.total_bits, rep.dictionary_bits, rep.counters_and_hash_bits,
+            rep.cell_bits, rep.capacity_cells) == pinned
 
 
 def test_cost_report_bounds():
@@ -332,7 +349,7 @@ def assert_counts_match_cells(f):
     sweep of the decoded cells; returns the swept per-tag counts."""
     d = f.dictionary
     swept = Counter(tag for _i, _fp, tag in entries(d))
-    assert [d.tag_count(t) for t in range(d.tag_range)] == [swept[t] for t in range(d.tag_range)]
+    assert [tag_count(d, t) for t in range(d.tag_range)] == [swept[t] for t in range(d.tag_range)]
     assert d.occupancy() == sum(swept.values())
     assert f.active_count() == sum(k for t, k in swept.items() if is_active_tag(f, t))
     return swept

@@ -95,6 +95,7 @@ def test_derive_invariants(n, m, eps_pow):
     assert params.gen_modulus == 2 * params.c + 3
     assert 2**params.tag_bits >= params.gen_modulus
     assert params.dict_capacity >= params.n_prime
+    assert params.dict_capacity == (params.c + 1) * params.g
 
 
 @given(

@@ -18,3 +18,6 @@ def test_public_names_resolve_and_test_helpers_stay_out():
         assert not hasattr(slidingbloom, name), name
     assert importlib.util.find_spec("slidingbloom.oracle") is None
     assert importlib.util.find_spec("slidingbloom.harness") is None
+    # a test-only count and the nested space report left the dictionary
+    assert not hasattr(slidingbloom.Dictionary, "tag_count")
+    assert not hasattr(slidingbloom.dictionary, "DictSpaceReport")
