@@ -62,6 +62,15 @@ one is. ``member`` is read-only: it filters stale hits out of its
 answer but leaves them in place. An insert or a lookup computes bucket
 2 only after bucket 1 misses its key.
 
+``member`` remembers its probe in one tuple: the fingerprint, its
+placement inputs (q, r, h) and the index and key of the cell it found,
+or -1 for both on a miss. An ``insert_or_update`` of the same
+fingerprint takes q, r and h from it instead of computing them, and
+writes the tag straight into the found cell if that cell still holds
+the key; a cell's bucket and key determine its fingerprint, so that is
+the cell the full probe would update. Otherwise (a miss, or a cell
+freed or moved since) it runs the full probe, key checks included.
+
 When both candidate buckets are full of live cells, a breadth-first
 search over the other buckets of the cells met finds the nearest
 bucket with room, and the cells on the path to it each move one step
@@ -237,6 +246,13 @@ class Dictionary:
         self.max_kick_chain = 0
         # member calls that looked in the second bucket too
         self.second_probes = 0
+        # the last member call's probe, for an insert_or_update of the
+        # same fp: (fp, q, r, h, i, key), its placement inputs and the
+        # index and key of the cell it found, i = key = -1 on a miss. One
+        # attribute store writes it, so queries running at the same time
+        # never leave one query's fp beside another's cell. No
+        # fingerprint is negative, so this first one matches none.
+        self._probe = (-1, 0, 0, 0, -1, -1)
 
     # -- core operations ----------------------------------------------------
 
@@ -251,7 +267,9 @@ class Dictionary:
         cells = keys[base:base + BUCKET_SIZE]
         if key in cells:
             self.last_op_cells = BUCKET_SIZE
-            t = self._tags[base + cells.index(key)]
+            i = base + cells.index(key)
+            self._probe = (fp, q, r, h, i, key)
+            t = self._tags[i]
             return None if t in stale else t
         key += 1
         base = (self._mult2 * r + h // nb) % nb * BUCKET_SIZE
@@ -259,8 +277,11 @@ class Dictionary:
         self.last_op_cells = 2 * BUCKET_SIZE
         self.second_probes += 1
         if key in cells:
-            t = self._tags[base + cells.index(key)]
+            i = base + cells.index(key)
+            self._probe = (fp, q, r, h, i, key)
+            t = self._tags[i]
             return None if t in stale else t
+        self._probe = (fp, q, r, h, -1, -1)
         return None
 
     def insert_or_update(self, fp: int, tag: int, stale) -> None:
@@ -272,12 +293,28 @@ class Dictionary:
         was, if no eviction path is found within MAX_SEARCH buckets.
         """
         nb = self.num_buckets
-        q, r = divmod(fp, nb)
-        h = self._mix(q)
         keys = self._keys
         tags = self._tags
+        # an update in place reports both buckets, whichever path found it
         self.last_op_cells = 2 * BUCKET_SIZE
         self.last_op_kicks = 0
+        probe = self._probe
+        if probe[0] == fp:
+            # q, r and h are a function of fp alone, so never stale. A
+            # cell's bucket and key determine its fingerprint, so a cell
+            # that still holds the key found there holds fp: it is the
+            # cell the key checks below would update, as the cells hold
+            # no fingerprint twice. A miss (key -1, which no unsigned
+            # cell holds) never skips those checks: after query, insert,
+            # insert of one element, the second insert would otherwise
+            # store its fingerprint a second time.
+            _fp, q, r, h, i, key = probe
+            if keys[i] == key:
+                tags[i] = tag
+                return
+        else:
+            q, r = divmod(fp, nb)
+            h = self._mix(q)
 
         key1 = q << 1
         b1 = (self._mult1 * r + h) % nb

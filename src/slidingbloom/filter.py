@@ -23,6 +23,13 @@ rather than answer No inside the window.
 Queries take constant dictionary work and never answer 'No' for an
 element inside the window. Elements must be ``int`` values in [0, u);
 anything else is rejected before any state changes.
+
+A query remembers its element and fingerprint, and the dictionary its
+probe, so an insert that follows a query of the same element (as
+``dedup`` does for every item) pays for one hash and one probe: it
+takes the fingerprint when the element is an ``int`` equal to the
+remembered one, and the dictionary reuses the placement and the found
+cell. An ``int`` subclass is neither remembered nor matched.
 """
 
 from __future__ import annotations
@@ -123,6 +130,9 @@ class SlidingFilter:
         )
 
         self.steps = 0
+        # the last query's element and its fingerprint, for an insert of
+        # the same element; a function of the element, so never stale
+        self._queried = (None, 0)
 
         # full scanner pass must fit inside the (c+2)*g steps a label
         # stays stale before reuse; 2 cells per step suffices except for
@@ -172,12 +182,17 @@ class SlidingFilter:
             raise ValueError(f"element {x} outside universe [0, {self.params.u})")
 
     def insert(self, x: int) -> None:
-        if type(x) is not int or not 0 <= x < self.params.u:
-            self._check_element(x)
+        # x equal to the last query's element, an in-range int, takes its
+        # fp; the type is checked first, so an int subclass's __eq__ is
+        # never called
+        queried, fp = self._queried
+        if type(x) is not int or x != queried:
+            if type(x) is not int or not 0 <= x < self.params.u:
+                self._check_element(x)
+            h = self.hash
+            fp = ((h.a * x) % h.p) % h.range_size
         d = self._dict
-        h = self.hash
         stale = self._stale
-        fp = ((h.a * x) % h.p) % h.range_size
         scan = self._scan_width
         d.scan_step(scan, stale)
         try:
@@ -213,10 +228,15 @@ class SlidingFilter:
 
     def query(self, x: int) -> bool:
         """True iff x is reported in the window. Never false for window elements."""
+        queried = x
         if type(x) is not int or not 0 <= x < self.params.u:
             self._check_element(x)
+            queried = None  # an int subclass: no insert compares with it
         h = self.hash
         fp = ((h.a * x) % h.p) % h.range_size
+        # one attribute store, so queries running at the same time each
+        # leave an element beside its own fingerprint
+        self._queried = (queried, fp)
         self._queries += 1
         return self._dict.member(fp, self._stale) is not None
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -10,6 +11,7 @@ import pytest
 
 from slidingbloom import cli
 from slidingbloom.dictionary import InsertOverflow
+from slidingbloom.prng import SplitMix64
 
 
 def run(capsys, *argv):
@@ -171,6 +173,49 @@ def test_dedup_deterministic_output(capsys, tmp_path):
         assert code == 0
         runs.append(out)
     assert runs[0] == runs[1]
+
+
+def repeat_heavy_text(length=20_000, seed=5):
+    """Tokens of a skewed vocabulary: low ranks dominate, so most repeat
+    inside the window, and the rest expire and come back."""
+    rng = SplitMix64(seed)
+    return (" ".join(f"t{rng.below(1 + rng.below(1500))}" for _ in range(length)) + "\n").encode()
+
+
+def binary_tenth_repeats(length=20_000, seed=6, reach=2000):
+    """LE64 words, every tenth a repeat of one of the last `reach` words."""
+    rng = SplitMix64(seed)
+    words = []
+    for t in range(length):
+        words.append(words[-1 - rng.below(min(t, reach))] if t % 10 == 9 else rng.below(2**64))
+    return struct.pack(f"<{length}Q", *words)
+
+
+# name: (input, dedup arguments, sha256 of the verbose TSV output)
+PINNED_DEDUP = {
+    "text-repeats": (
+        repeat_heavy_text, ("-n", "1000", "-m", "200", "-e", "0.001", "--seed", "7"),
+        "90509b2f5643b537ff599e209d88fb939c97354bc06bf8928767bcc6360151d4",
+    ),
+    "binary-tenth-repeats": (
+        binary_tenth_repeats, ("-n", "5000", "-m", "inf", "-e", repr(2**-20), "--seed", "8",
+                               "--format", "binary"),
+        "e93e6ec99e524e9d31f39a9320504f2f406fae95c1b0963456eeaa594be09a47",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DEDUP))
+def test_dedup_output_pinned(capsys, tmp_path, name):
+    # every verdict and total of dedup, which queries each item and then
+    # inserts it; the digests were recorded from an implementation that
+    # computed both calls from scratch
+    make, args, digest = PINNED_DEDUP[name]
+    src = tmp_path / "in"
+    src.write_bytes(make())
+    code, out, err = run(capsys, "dedup", *args, str(src))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_dedup_bad_config_exits_2(capsys, tmp_path):

@@ -19,11 +19,12 @@ from slidingbloom import (
 from slidingbloom.filter import MIN_DICT_ELEMENTS
 from slidingbloom.prng import SplitMix64
 
-from cell_audit import check_consistency, entries, never_stale, tag_count
+from cell_audit import buckets_for, check_consistency, entries, never_stale, tag_count
 from checked_filter import CheckedFilter, LabelReuseViolation, is_active_tag
 from overflow_run import assert_refuses_every_use, run_to_overflow
 from reference_model import CRITERION_6_CONFIGS, sweep_mismatches
 from stream_patterns import all_same, burst_edges, distinct, random_pool, round_robin
+from test_pinned_streams import STREAMS
 from window_oracle import WindowOracle
 
 U64 = 2**64
@@ -308,6 +309,173 @@ def test_cost_counts_start_at_construction_or_load():
         g.insert(x)
     g.query(3)
     assert (g.step_cost_stats().inserts, g.step_cost_stats().queries) == (5, 1)
+
+
+def memo_case(f, x):
+    """How an insert of x into f meets what f's last query remembered,
+    read just before the insert: "none" (another element), "hit" (its
+    cell, still there), "stale-freed" (its cell, stale and next in the
+    scanner's way), "moved" (the cell no longer holds the key found),
+    "miss" (not stored) or "miss-stored" (a miss, stored since)."""
+    d = f.dictionary
+    fp = f.hash.eval(x)
+    probe_fp, _q, _r, _h, i, key = d._probe
+    if probe_fp != fp:
+        return "none"
+    if i < 0:
+        key1 = fp // d.num_buckets << 1
+        b1, b2 = buckets_for(d, fp)
+        stored = (key1 in d._keys[b1 * BUCKET_SIZE:(b1 + 1) * BUCKET_SIZE]
+                  or key1 + 1 in d._keys[b2 * BUCKET_SIZE:(b2 + 1) * BUCKET_SIZE])
+        return "miss-stored" if stored else "miss"
+    if d._keys[i] != key:
+        return "moved"
+    if d._tags[i] in f._stale and (i - d._cursor) % d.capacity_cells < f._scan_width:
+        return "stale-freed"
+    return "hit"
+
+
+def insert_fields(f):
+    cost = f.step_cost_stats()
+    return (f.steps, cost.inserts, cost.insert_cells_max, cost.insert_cells_max_no_kicks,
+            cost.insert_cells_mean, cost.max_kick_chain, cost.scan_width)
+
+
+class Twins:
+    """Filter a takes every query and insert, its twin b the inserts only.
+
+    After each insert both hold the same key and tag planes, step count
+    and insert costs. ``cases`` counts how a's inserts met its memo, and
+    ``elements`` maps the fingerprint of each inserted element to it.
+    """
+
+    def __init__(self, n, m, eps, seed):
+        self.a = SlidingFilter.create(n, m, eps, seed=seed)
+        self.b = SlidingFilter.create(n, m, eps, seed=seed)
+        self.cases = Counter()
+        self.elements = {}
+
+    def insert(self, x):
+        self.cases[memo_case(self.a, x)] += 1
+        self.a.insert(x)
+        self.b.insert(x)
+        self.elements[self.a.hash.eval(x)] = x
+        da, db = self.a.dictionary, self.b.dictionary
+        assert da._keys == db._keys and da._tags == db._tags
+        assert insert_fields(self.a) == insert_fields(self.b)
+
+
+def stale_cell_freed_by_the_insert(tw, fresh, limit):
+    """Query an element whose cell is stale and next in the scanner's
+    way, then insert it: the insert's own scan step frees that cell."""
+    x = next(fresh)
+    tw.insert(x)
+    for _ in range(limit):
+        tw.a.query(x)
+        if memo_case(tw.a, x) == "stale-freed":
+            tw.insert(x)
+            return
+        if tw.a.dictionary._probe[4] < 0:
+            # an insert that needed room in its bucket reclaimed it
+            x = next(fresh)
+            tw.insert(x)
+        else:
+            tw.insert(next(fresh))
+    raise AssertionError("no stale cell met the scanner")
+
+
+def remembered_cell_moved_by_eviction(tw, fresh, limit):
+    """Query an element, insert another whose eviction search moves the
+    first one's cell, then insert the first. A copy of b takes each
+    candidate insert first, to show which live cells it moves; the
+    element taken is one of an older generation, so a tag written to
+    the wrong cell shows in the tag plane."""
+    for _ in range(limit):
+        y = next(fresh)
+        b = tw.b
+        ahead = SlidingFilter.load(_snapshot(b))
+        ahead.insert(y)
+        after = ahead.dictionary._keys
+        moved = [fp for i, fp, tag in entries(b.dictionary)
+                 if tag not in b._stale and tag != b.gen_label
+                 and after[i] != b.dictionary._keys[i]]
+        if moved:
+            x = tw.elements[moved[0]]
+            tw.a.query(x)
+            tw.insert(y)
+            tw.insert(x)
+            return
+        tw.insert(y)
+    raise AssertionError("no insert moved a live cell")
+
+
+def missed_element_inserted_twice(tw, fresh, limit):
+    """A query that misses, then two inserts of its element, where the
+    second finds it stored beside an empty cell of its buckets: the memo
+    still holds the miss, and only the key checks keep that insert from
+    taking the empty cell."""
+    for _ in range(limit):
+        x = next(fresh)
+        tw.a.query(x)
+        missed = memo_case(tw.a, x) == "miss"
+        tw.insert(x)
+        d = tw.a.dictionary
+        if missed and any(d._empty in d._keys[b * BUCKET_SIZE:(b + 1) * BUCKET_SIZE]
+                          for b in buckets_for(d, tw.a.hash.eval(x))):
+            tw.insert(x)
+            return
+    raise AssertionError("no missed element found room beside it")
+
+
+@pytest.mark.parametrize("name", sorted(STREAMS))
+def test_query_then_insert_leaves_what_insert_alone_leaves(name):
+    # an insert reuses the fingerprint, placement and cell its query
+    # found; a twin that only inserts must end every step in the same
+    # state, on the pinned streams (each element queried, then inserted)
+    # and on three forced cases where the remembered cell is not there
+    n, m, eps, seed, length, repeat_every = STREAMS[name]
+    tw = Twins(n, m, eps, seed)
+    rng = SplitMix64(seed + 1)
+    fresh = iter(lambda: rng.below(2**63), None)
+    recent = []
+    for t in range(length):
+        x = recent[rng.below(len(recent))] if t % repeat_every == repeat_every - 1 else next(fresh)
+        tw.a.query(x)
+        tw.insert(x)
+        if len(recent) < n:
+            recent.append(x)
+        else:
+            recent[t % n] = x
+    cycle = tw.a.params.gen_modulus * tw.a.params.g
+    stale_cell_freed_by_the_insert(tw, fresh, limit=3 * cycle)
+    remembered_cell_moved_by_eviction(tw, fresh, limit=cycle)
+    missed_element_inserted_twice(tw, fresh, limit=cycle)
+
+    assert all(tw.cases[case] >= 1 for case in
+               ("hit", "stale-freed", "moved", "miss", "miss-stored")), tw.cases
+    assert tw.a.dictionary.max_kick_chain > 0
+    check_consistency(tw.a.dictionary)
+
+
+def test_int_subclass_never_takes_a_remembered_fingerprint():
+    # an int subclass whose comparisons always lie: an insert must not
+    # take the last query's fingerprint for it, nor for the int after it
+    class Liar(int):
+        __hash__ = int.__hash__
+
+        def __eq__(self, other):
+            return True
+
+        def __ne__(self, other):
+            return False
+
+    f = SlidingFilter.create(100, 100, 2**-6, seed=1)
+    f.query(7)
+    f.insert(Liar(5))
+    assert f.query(5)
+    f.query(Liar(9))
+    f.insert(11)
+    assert f.query(11)
 
 
 def overflow_stream(seed, length=12_000):

@@ -1,7 +1,8 @@
 """One random history over every public path of a filter.
 
 A hypothesis state machine builds a small filter, then interleaves
-inserts, queries, save/load round trips (through bytes and through a
+inserts, queries, queries each followed by one or two inserts of their
+element, save/load round trips (through bytes and through a
 memoryview) and cuts to the eviction search budget, so that some
 histories overflow. While the filter is usable, every answer equals the
 generation-exact reference model and every element of the window
@@ -84,6 +85,17 @@ class FilterHistory(RuleBasedStateMachine):
     def query(self, x):
         x %= self.universe
         assert self.filter.query(x) == self.model.query(x)
+
+    @precondition(lambda self: not self.overflowed)
+    @rule(x=element, twice=st.booleans())
+    def query_then_insert(self, x, twice):
+        # the insert reuses what the query computed and found; the
+        # second insert meets a memo its first insert made out of date
+        x %= self.universe
+        assert self.filter.query(x) == self.model.query(x)
+        for _ in range(1 + twice):
+            if not self.overflowed:
+                self._insert(x)
 
     @precondition(lambda self: not self.overflowed)
     @rule(through_view=st.booleans())
