@@ -52,11 +52,11 @@ def search_sizes(n, m, epsilon, seed):
     return sizes, False
 
 
-def main():
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("seeds", type=int, nargs="+")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     print("n\tm\tepsilon\tseeds\tinserts\t" + "\t".join(f"ge{k}" for k in THRESHOLDS)
           + "\tmax_buckets\toverflows")

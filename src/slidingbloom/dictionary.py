@@ -80,6 +80,16 @@ no random choice is made, so the cells are a function of the insert
 sequence and the seed alone. A search step finds a cell's other bucket
 with one product by a precomputed cross multiplier, A_1/A_2 or A_2/A_1.
 
+The dictionary keeps the running cost counts, each where the cost can
+vary and nowhere else: ``member`` counts its calls (``probes``) and
+those that looked in bucket 2 (``second_probes``), and an eviction
+search that finds room counts itself (``searches``), the cells it
+touched (``search_cells``, ``max_search_cells``) and its moves
+(``max_kick_chain``). Any other insert touches exactly its two buckets
+and counts nothing; ``SlidingFilter.step_cost_stats`` derives its
+figures from that. ``last_op_cells`` and ``last_op_kicks`` describe
+the last ``member`` or ``insert_or_update`` call alone, for tracing.
+
 Geometry and policy: BUCKET_SIZE = 4, two bucket choices, eviction
 search capped at MAX_SEARCH = 200 visited buckets, cell count sized
 for a 0.9 load at element capacity (rounded up to a whole number of
@@ -243,9 +253,16 @@ class Dictionary:
         # eviction path); scan_step writes none, its caller knows k
         self.last_op_cells = 0
         self.last_op_kicks = 0
-        self.max_kick_chain = 0
-        # member calls that looked in the second bucket too
+        # running counts, kept only where an operation's cost can vary:
+        # member calls, and those that looked in the second bucket too;
+        # eviction searches that found room, the cells they touched and
+        # the most one touched, and the longest chain of moves
+        self.probes = 0
         self.second_probes = 0
+        self.searches = 0
+        self.search_cells = 0
+        self.max_search_cells = 0
+        self.max_kick_chain = 0
         # the last member call's probe, for an insert_or_update of the
         # same fp: (fp, q, r, h, i, key), its placement inputs and the
         # index and key of the cell it found, i = key = -1 on a miss. One
@@ -265,24 +282,22 @@ class Dictionary:
         key = q << 1
         base = (self._mult1 * r + h) % nb * BUCKET_SIZE
         cells = keys[base:base + BUCKET_SIZE]
+        self.probes += 1
         if key in cells:
             self.last_op_cells = BUCKET_SIZE
-            i = base + cells.index(key)
-            self._probe = (fp, q, r, h, i, key)
-            t = self._tags[i]
-            return None if t in stale else t
-        key += 1
-        base = (self._mult2 * r + h // nb) % nb * BUCKET_SIZE
-        cells = keys[base:base + BUCKET_SIZE]
-        self.last_op_cells = 2 * BUCKET_SIZE
-        self.second_probes += 1
-        if key in cells:
-            i = base + cells.index(key)
-            self._probe = (fp, q, r, h, i, key)
-            t = self._tags[i]
-            return None if t in stale else t
-        self._probe = (fp, q, r, h, -1, -1)
-        return None
+        else:
+            key += 1
+            base = (self._mult2 * r + h // nb) % nb * BUCKET_SIZE
+            cells = keys[base:base + BUCKET_SIZE]
+            self.last_op_cells = 2 * BUCKET_SIZE
+            self.second_probes += 1
+            if key not in cells:
+                self._probe = (fp, q, r, h, -1, -1)
+                return None
+        i = base + cells.index(key)
+        self._probe = (fp, q, r, h, i, key)
+        t = self._tags[i]
+        return None if t in stale else t
 
     def insert_or_update(self, fp: int, tag: int, stale) -> None:
         """Set fp's tag, inserting if needed.
@@ -397,8 +412,12 @@ class Dictionary:
                     _b, j, src = path[j]
                 keys[i] = key1 if i // BUCKET_SIZE == b1 else key2
                 tags[i] = tag
-                self.last_op_cells = len(path) * BUCKET_SIZE
+                self.last_op_cells = touched = len(path) * BUCKET_SIZE
                 self.last_op_kicks = moves
+                self.searches += 1
+                self.search_cells += touched
+                if touched > self.max_search_cells:
+                    self.max_search_cells = touched
                 if moves > self.max_kick_chain:
                     self.max_kick_chain = moves
                 return

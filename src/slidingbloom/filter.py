@@ -30,6 +30,11 @@ probe, so an insert that follows a query of the same element (as
 takes the fingerprint when the element is an ``int`` equal to the
 remembered one, and the dictionary reuses the placement and the found
 cell. An ``int`` subclass is neither remembered nor matched.
+
+The filter keeps no cost counter but the step at construction or load:
+``step_cost_stats`` takes the insert count from the steps taken since,
+and everything else from the dictionary's counts of probes and
+eviction searches, so a plain insert pays nothing for the figures.
 """
 
 from __future__ import annotations
@@ -141,12 +146,9 @@ class SlidingFilter:
         self._scan_width = max(2, -(-self._dict.capacity_cells // span))
         self._set_generation(0)
 
-        # cost statistics count from here, or from the step of a load
+        # inserts count from here, or from the step of a load; the
+        # dictionary counts everything else
         self._start_steps = 0
-        self._ins_sum = 0
-        self._ins_max = 0
-        self._ins_max_nokick = 0
-        self._queries = 0
 
     def restore(self, steps: int, cells) -> None:
         """Resume saved state in this freshly built filter.
@@ -193,8 +195,7 @@ class SlidingFilter:
             fp = ((h.a * x) % h.p) % h.range_size
         d = self._dict
         stale = self._stale
-        scan = self._scan_width
-        d.scan_step(scan, stale)
+        d.scan_step(self._scan_width, stale)
         try:
             d.insert_or_update(fp, self.gen_label, stale)
         except InsertOverflow as exc:
@@ -204,19 +205,11 @@ class SlidingFilter:
             )
             self._dict = _Unusable(error)
             raise error from None
-        cells = scan + d.last_op_cells
-        kicks = d.last_op_kicks
 
         steps = self.steps + 1
         self.steps = steps
         if steps % self.params.g == 0:
             self._advance_label()
-
-        self._ins_sum += cells
-        if cells > self._ins_max:
-            self._ins_max = cells
-        if kicks == 0 and cells > self._ins_max_nokick:
-            self._ins_max_nokick = cells
 
     def _advance_label(self) -> None:
         g_mod = self.params.gen_modulus
@@ -237,7 +230,6 @@ class SlidingFilter:
         # one attribute store, so queries running at the same time each
         # leave an element beside its own fingerprint
         self._queried = (queried, fp)
-        self._queries += 1
         return self._dict.member(fp, self._stale) is not None
 
     # -- introspection ---------------------------------------------------------
@@ -271,22 +263,33 @@ class SlidingFilter:
         )
 
     def step_cost_stats(self) -> CostReport:
-        """Touched cells since construction or load. The insert count is
-        the steps taken since then; a query looks at one bucket, or at
-        two when the dictionary counted a second probe."""
+        """Touched cells since construction or load.
+
+        The filter counts inserts as the steps taken since then; the
+        dictionary counts the rest where a cost can vary. An insert
+        touches its scan width plus two buckets, unless its eviction
+        search found room, which the dictionary counts with the cells
+        it touched; a search always moves a cell and a plain insert
+        never does. A query looks at one bucket, or at two when the
+        dictionary counted a second probe.
+        """
+        d = self._dict
         inserts = self.steps - self._start_steps
-        queries = self._queries
-        second = self._dict.second_probes
+        plain = inserts - d.searches
+        pair = 2 * BUCKET_SIZE if plain else 0
+        scan = self._scan_width
+        queries = d.probes
+        second = d.second_probes
         return CostReport(
             inserts=inserts,
-            insert_cells_max=self._ins_max,
-            insert_cells_max_no_kicks=self._ins_max_nokick,
-            insert_cells_mean=(self._ins_sum / inserts) if inserts else 0.0,
+            insert_cells_max=scan + max(pair, d.max_search_cells) if inserts else 0,
+            insert_cells_max_no_kicks=scan + pair if plain else 0,
+            insert_cells_mean=(scan * inserts + pair * plain + d.search_cells) / max(inserts, 1),
             queries=queries,
             query_cells_max=(2 * BUCKET_SIZE if second else BUCKET_SIZE) if queries else 0,
             query_cells_mean=BUCKET_SIZE * (queries + second) / queries if queries else 0.0,
-            max_kick_chain=self._dict.max_kick_chain,
-            scan_width=self._scan_width,
+            max_kick_chain=d.max_kick_chain,
+            scan_width=scan,
         )
 
     @property

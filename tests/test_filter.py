@@ -252,7 +252,7 @@ def test_cost_report_bounds():
         f.query(x)
     cost = f.step_cost_stats()
     assert cost.query_cells_max <= 8
-    assert cost.insert_cells_max_no_kicks <= 8 + 2
+    assert cost.insert_cells_max_no_kicks == 8 + 2
     assert cost.scan_width == 2
     assert cost.max_kick_chain < 500
     assert cost.inserts == 8000 and cost.queries == 4000
@@ -291,6 +291,47 @@ def test_query_cost_fields_match_per_query_cells(case):
                       sum(cells) / len(cells) if cells else 0.0)
     if case != "mixed":
         assert fields[1:] == ((BUCKET_SIZE, 4.0) if cells else (0, 0.0))
+
+
+def inserted_cells(f, xs):
+    """Insert xs into f; the cells and moves each insert reports."""
+    d = f.dictionary
+    cells, kicks = [], []
+    for x in xs:
+        f.insert(x)
+        cells.append(f._scan_width + d.last_op_cells)
+        kicks.append(d.last_op_kicks)
+    return cells, kicks
+
+
+def insert_cost_fields(f):
+    cost = f.step_cost_stats()
+    return (cost.inserts, cost.insert_cells_max, cost.insert_cells_max_no_kicks,
+            cost.insert_cells_mean)
+
+
+def reference_insert_fields(cells, kicks):
+    plain = [c for c, k in zip(cells, kicks) if k == 0]
+    return (len(cells), max(cells, default=0), max(plain, default=0),
+            sum(cells) / len(cells) if cells else 0.0)
+
+
+def test_insert_cost_fields_match_per_insert_cells():
+    # the insert fields are derived from the dictionary's search counts; a
+    # reference built from the cells each insert reports must give the
+    # same figures, the mean bit for bit
+    f = SlidingFilter.create(2000, INFINITE, 2**-8, seed=1)
+    rng = SplitMix64(2)
+    cells, kicks = inserted_cells(f, [rng.below(2**63) for _ in range(20000)])
+    assert max(kicks) > 0  # the stream runs eviction searches
+    assert insert_cost_fields(f) == reference_insert_fields(cells, kicks)
+    blob = io.BytesIO()
+    f.save(blob)
+    g = SlidingFilter.load(blob.getvalue())
+    assert insert_cost_fields(g) == reference_insert_fields([], []) == (0, 0, 0, 0.0)
+    cells, kicks = inserted_cells(g, [rng.below(2**63) for _ in range(5000)])
+    assert max(kicks) > 0
+    assert insert_cost_fields(g) == reference_insert_fields(cells, kicks)
 
 
 def test_cost_counts_start_at_construction_or_load():

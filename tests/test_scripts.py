@@ -1,10 +1,12 @@
 """The validation drivers' front ends, run in-process through main()."""
 
+import hashlib
 import json
 
 import pytest
 
 import fpr_seed_grid
+import search_tail
 import space_sweep
 
 
@@ -87,3 +89,16 @@ def test_fpr_grid_bad_input_exits_2(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+def test_search_tail_pins_search_sizes(capsys):
+    # the search sizes of two seeds at the design load and at the four
+    # MIN_DICT_ELEMENTS floor geometries, pinned by the whole output
+    code, out, err = run(capsys, search_tail, "0", "1")
+    assert (code, err) == (0, "")
+    rows = [line.split("\t") for line in out.splitlines()]
+    assert [row[-2:] for row in rows[1:]] == [["36", "0"], ["2", "0"], ["4", "0"],
+                                              ["11", "0"], ["20", "0"]]
+    assert len(out.encode()) == 390
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ca2c6827e4325ff721a32f46d8d2d88939725f30ea2465dccb69d83e9780ccfa")
