@@ -86,10 +86,10 @@ def _tokens_binary(stream):
             return
 
 
-def _utf8_stdin(release):
-    """sys.stdin read as UTF-8; detached on release, which leaves
-    sys.stdin open where closing the wrapper would not."""
-    stream = io.TextIOWrapper(sys.stdin.buffer, "utf-8")
+def _utf8_text(raw, release):
+    """The byte stream ``raw`` read as UTF-8; detached on release, which
+    leaves ``raw`` open where closing the wrapper would not."""
+    stream = io.TextIOWrapper(raw, "utf-8")
     release.callback(stream.detach)
     return stream
 
@@ -121,15 +121,14 @@ def _run_dedup(args) -> int:
         # tokens hash as their UTF-8 bytes, so text is read as UTF-8, and
         # echoed as UTF-8, whatever the locale or the I/O encoding says
         if args.input == "-":
-            source = sys.stdin.buffer if binary else _utf8_stdin(release)
+            raw = sys.stdin.buffer
         else:
             try:
-                source = release.enter_context(
-                    open(args.input, "rb") if binary else open(args.input, encoding="utf-8"))
+                raw = release.enter_context(open(args.input, "rb"))
             except OSError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return EXIT_USAGE
-        tokens = _tokens_binary(source) if binary else _tokens_text(source)
+        tokens = _tokens_binary(raw) if binary else _tokens_text(_utf8_text(raw, release))
         out = _utf8_stdout(release)
 
         items = 0

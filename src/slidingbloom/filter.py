@@ -296,15 +296,3 @@ class SlidingFilter:
     def dictionary(self) -> Dictionary:
         return self._dict
 
-    # -- persistence (implemented in snapshot.py) -------------------------------
-
-    def save(self, target) -> None:
-        from .snapshot import save_filter
-
-        save_filter(self, target)
-
-    @classmethod
-    def load(cls, source) -> "SlidingFilter":
-        from .snapshot import load_filter
-
-        return load_filter(source)

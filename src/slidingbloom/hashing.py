@@ -22,13 +22,20 @@ from functools import lru_cache
 
 from .prng import SplitMix64, derive_seed
 
-# Deterministic Miller-Rabin witness set, exact for all n < 3.3e24
-# (covers anything a 64-bit universe can produce); is_prime also
-# trial-divides by these primes before the test.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin witnesses, the 14 primes 2..43; is_prime also
+# trial-divides by them before the test.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
 
 
 def is_prime(n: int) -> bool:
+    """Miller-Rabin to the bases 2..43.
+
+    Exact for every n < 3.3e24 (Sorenson and Webster: the least strong
+    pseudoprime to the bases 2..41 is 3317044064679887385961981, which
+    base 43 rejects), so for every universe of 64 bits and well beyond.
+    Above that bound, up to the 2**128 - 1 a universe may reach, it is a
+    strong probable-prime test to 14 bases.
+    """
     if n < 2:
         return False
     for small in _MR_WITNESSES:
@@ -89,8 +96,6 @@ def new_hash(u: int, range_size: int, seed: int) -> UniversalHash:
 
     Same (u, range_size, seed) always yields the same (p, a).
     """
-    if u < 2:
-        raise ValueError("universe size must be >= 2")
     p = next_prime(max(u, range_size))
     rng = SplitMix64(derive_seed(seed, "universal-hash-multiplier"))
     a = 1 + rng.below(p - 1)

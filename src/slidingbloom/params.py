@@ -28,10 +28,6 @@ class InvalidParams(ValueError):
     """The inputs violate a precondition of the construction."""
 
 
-def _is_infinite(m) -> bool:
-    return m == INFINITE
-
-
 def _ceil_log2_inv(epsilon: float) -> int:
     # Smallest L with 2**L >= 1/epsilon, computed exactly from the
     # binary value of epsilon (float log2 can land on the wrong side of
@@ -44,7 +40,7 @@ def _ceil_log2_inv(epsilon: float) -> int:
 def _check_nme(n, m, epsilon) -> None:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InvalidParams(f"window size n must be a positive integer, got {n!r}")
-    if not _is_infinite(m):
+    if m != INFINITE:
         if not isinstance(m, int) or isinstance(m, bool) or m < 1:
             raise InvalidParams(f"slack m must be a positive integer or INFINITE, got {m!r}")
     # float() would parse a string: refuse text before it gets the chance
@@ -96,7 +92,7 @@ class FilterParams:
         if n * den >= num * u:
             raise InvalidParams(f"need n < epsilon*u, got n={n}, epsilon*u={num * u / den:.6g}")
 
-        c = max(_ceil_log2_inv(epsilon), 1 if _is_infinite(m) else -(-n // m))
+        c = max(_ceil_log2_inv(epsilon), 1 if m == INFINITE else -(-n // m))
         c = min(c, n)
         g = -(-n // c)
         n_prime = n + g

@@ -9,7 +9,7 @@ import io
 
 import pytest
 
-from slidingbloom import UnrecoverableOverflow
+from slidingbloom import UnrecoverableOverflow, save_filter
 
 from window_oracle import WindowOracle
 
@@ -52,7 +52,7 @@ def run_to_overflow(create, stream, check_every):
         replay.insert(x)
     assert_window_answered(replay, oracle)
     last_served = io.BytesIO()
-    replay.save(last_served)
+    save_filter(replay, last_served)
     with pytest.raises(UnrecoverableOverflow) as again:
         replay.insert(stream[t])
     assert (again.value.fp, again.value.tag) == (error.fp, error.tag)
@@ -63,7 +63,7 @@ def assert_refuses_every_use(f, x) -> None:
     """Every later insert, query, save and inspection of ``f`` raises
     UnrecoverableOverflow, and a refused save writes nothing."""
     target = io.BytesIO()
-    for use in (lambda: f.insert(x), lambda: f.query(x), lambda: f.save(target),
+    for use in (lambda: f.insert(x), lambda: f.query(x), lambda: save_filter(f, target),
                 f.active_count, f.bits_used, f.step_cost_stats):
         with pytest.raises(UnrecoverableOverflow):
             use()

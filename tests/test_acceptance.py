@@ -230,7 +230,7 @@ def _stress_task(cfg):
     return rep.passed, rep.label_violations, rep.fn_failures
 
 
-def test_criterion_6_label_safety_and_mode_equivalence():
+def test_criterion_6_label_safety_and_reference_model_agreement():
     t0 = time.perf_counter()
     ok = True
     with ProcessPoolExecutor(WORKERS) as pool:
@@ -244,7 +244,7 @@ def test_criterion_6_label_safety_and_mode_equivalence():
     ok &= mismatches == 0
     dt = time.perf_counter() - t0
     _announce(6, "label safety and reference-model agreement", ok,
-              f"- 3x1e6 debug steps clean, exhaustive model sweeps "
+              f"- 3x1e6 checked steps clean, exhaustive model sweeps "
               f"mismatches {mismatches}, {dt:.0f}s")
 
 

@@ -448,3 +448,11 @@ def codec_range_checks(fp_range):
     with pytest.raises(ValueError):  # another geometry: the planes have another length
         make(cap=400, fp_range=fp_range, tag_range=32, seed=5).restore(blob)
     assert saved(target) == before  # a refused restore changes nothing
+
+
+@pytest.mark.parametrize("field, value", [("element_capacity", 0), ("fp_range", 0),
+                                          ("tag_range", 1)])
+def test_degenerate_geometry_refused(field, value):
+    geometry = {"element_capacity": 100, "fp_range": 100_000, "tag_range": 16, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be >= "):
+        Dictionary(seed=0, **geometry)

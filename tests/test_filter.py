@@ -15,6 +15,8 @@ from slidingbloom import (
     SlidingFilter,
     derive,
     dictionary,
+    load_filter,
+    save_filter,
 )
 from slidingbloom.filter import MIN_DICT_ELEMENTS
 from slidingbloom.prng import SplitMix64
@@ -166,7 +168,7 @@ def test_active_count_bounded_by_capacity_law():
     assert f.active_count() <= limit
 
 
-def test_mode_equivalence_small_exhaustive():
+def test_reference_model_agreement_small_exhaustive():
     configs = [
         (12, 3, 0.25, 499, 700),
         (50, 50, 0.25, 499, 500),
@@ -326,8 +328,8 @@ def test_insert_cost_fields_match_per_insert_cells():
     assert max(kicks) > 0  # the stream runs eviction searches
     assert insert_cost_fields(f) == reference_insert_fields(cells, kicks)
     blob = io.BytesIO()
-    f.save(blob)
-    g = SlidingFilter.load(blob.getvalue())
+    save_filter(f, blob)
+    g = load_filter(blob.getvalue())
     assert insert_cost_fields(g) == reference_insert_fields([], []) == (0, 0, 0, 0.0)
     cells, kicks = inserted_cells(g, [rng.below(2**63) for _ in range(5000)])
     assert max(kicks) > 0
@@ -341,8 +343,8 @@ def test_cost_counts_start_at_construction_or_load():
     f.query(3)
     assert (f.step_cost_stats().inserts, f.step_cost_stats().queries) == (700, 1)
     blob = io.BytesIO()
-    f.save(blob)
-    g = SlidingFilter.load(blob.getvalue())
+    save_filter(f, blob)
+    g = load_filter(blob.getvalue())
     assert (g.steps, g.gen_pos) == (700, 700 % g.params.g)
     cost = g.step_cost_stats()
     assert (cost.inserts, cost.insert_cells_mean, cost.queries, cost.query_cells_max) == (0, 0.0, 0, 0)
@@ -434,7 +436,7 @@ def remembered_cell_moved_by_eviction(tw, fresh, limit):
     for _ in range(limit):
         y = next(fresh)
         b = tw.b
-        ahead = SlidingFilter.load(_snapshot(b))
+        ahead = load_filter(_snapshot(b))
         ahead.insert(y)
         after = ahead.dictionary._keys
         moved = [fp for i, fp, tag in entries(b.dictionary)
@@ -592,7 +594,7 @@ def test_on_demand_counts_match_a_sweep_of_the_cells():
     assert f.boundaries > 2 * f.params.gen_modulus
 
     # a save/load round trip keeps every count
-    g = SlidingFilter.load(io.BytesIO(_snapshot(f)))
+    g = load_filter(io.BytesIO(_snapshot(f)))
     assert assert_counts_match_cells(g) == swept
 
 
@@ -602,13 +604,13 @@ def test_non_integer_elements_rejected_before_any_change(bad):
     for x in range(120):
         f.insert(x)
     before = io.BytesIO()
-    f.save(before)
+    save_filter(f, before)
     with pytest.raises(TypeError):
         f.insert(bad)
     with pytest.raises(TypeError):
         f.query(bad)
     after = io.BytesIO()
-    f.save(after)
+    save_filter(f, after)
     assert after.getvalue() == before.getvalue()
 
 
@@ -656,7 +658,7 @@ def test_widest_quotients_round_trip():
         f.insert(x)
     assert all(f.query(x) for x in xs[-1000:])
     assert not any(f.query(rng.below(2**100)) for _ in range(1000))
-    g = SlidingFilter.load(io.BytesIO(_snapshot(f)))
+    g = load_filter(io.BytesIO(_snapshot(f)))
     assert _snapshot(g) == _snapshot(f)
     assert all(g.query(x) for x in xs[-1000:])
     check_consistency(g.dictionary)
@@ -690,5 +692,5 @@ def test_every_geometry_at_u_2_64_gets_keys_of_at_most_64_bits():
 
 def _snapshot(f):
     buf = io.BytesIO()
-    f.save(buf)
+    save_filter(f, buf)
     return buf.getvalue()

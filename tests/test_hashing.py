@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from slidingbloom import SlidingFilter
 from slidingbloom.hashing import UniversalHash, is_prime, new_hash, next_prime
-from slidingbloom.prng import MASK64, derive_seed, fnv1a64, splitmix64
+from slidingbloom.prng import MASK64, SplitMix64, derive_seed, fnv1a64, splitmix64
 
 
 def collision_prob_check(p, range_size, x, y):
@@ -25,6 +26,26 @@ def test_prime_search():
     assert is_prime(2**61 - 1)
     assert not is_prime(2**64)
     assert next_prime(2**64) == 18446744073709551629
+
+
+# the least strong pseudoprimes to the first 12 and 13 prime bases
+# (Sorenson and Webster), each a product of two primes
+PSI_12 = 318665857834031151167461  # 399165290221 * 798330580441
+PSI_13 = 3317044064679887385961981  # 1287836182261 * 2575672364521
+
+
+def test_strong_pseudoprimes_to_the_first_13_bases_are_composite():
+    assert PSI_12 == 399165290221 * 798330580441
+    assert PSI_13 == 1287836182261 * 2575672364521
+    assert not is_prime(PSI_12) and not is_prime(PSI_13)
+    assert next_prime(PSI_12) == 318665857834031151167483
+    assert next_prime(PSI_13) == 3317044064679887385962123
+    assert SlidingFilter.create(100, 100, 0.01, u=PSI_12).hash.p == 318665857834031151167483
+
+
+@pytest.mark.parametrize("n", [1, 0, -1, -7])
+def test_nothing_below_two_is_prime(n):
+    assert not is_prime(n)
 
 
 def test_prime_search_memoized():
@@ -60,6 +81,18 @@ def test_multiplier_domain():
         UniversalHash(p=13, a=0, range_size=4)
     with pytest.raises(ValueError):
         UniversalHash(p=13, a=13, range_size=4)
+
+
+@pytest.mark.parametrize("range_size", [0, -1])
+def test_empty_range_refused(range_size):
+    with pytest.raises(ValueError, match="range_size must be >= 1"):
+        UniversalHash(p=13, a=3, range_size=range_size)
+
+
+@pytest.mark.parametrize("n", [0, -1, -(2**70)])
+def test_draw_from_an_empty_range_refused(n):
+    with pytest.raises(ValueError, match="needs n >= 1"):
+        SplitMix64(1).below(n)
 
 
 def test_collision_check_full_range_is_injective():

@@ -18,7 +18,7 @@ import io
 
 import pytest
 
-from slidingbloom import INFINITE, SlidingFilter, dictionary, load_filter
+from slidingbloom import INFINITE, SlidingFilter, dictionary, load_filter, save_filter
 from slidingbloom.prng import SplitMix64
 
 from cell_audit import check_consistency
@@ -75,7 +75,7 @@ def test_stream_decisions_pinned(name):
     f = SlidingFilter.create(n, m, eps, seed=seed)
     answers = drive(f, length, seed, repeat_every)
     blob = io.BytesIO()
-    f.save(blob)
+    save_filter(f, blob)
     stats = f.step_cost_stats()
 
     assert f.boundaries >= 2 * f.params.gen_modulus  # the label counter wrapped twice

@@ -1,6 +1,7 @@
 import io
 import json
 import mmap
+import struct
 import tracemalloc
 import zlib
 from pathlib import Path
@@ -68,8 +69,8 @@ def test_save_load_path(tmp_path):
     for x in range(100):
         f.insert(x)
     path = tmp_path / "filter.snap"
-    f.save(str(path))
-    g = SlidingFilter.load(str(path))
+    save_filter(f, str(path))
+    g = load_filter(str(path))
     assert roundtrip(f) == roundtrip(g)
 
 
@@ -107,7 +108,7 @@ def test_load_reads_any_buffer(as_blob):
 def test_load_reads_an_mmap(tmp_path):
     f = busy_filter()
     path = tmp_path / "filter.snap"
-    f.save(path)
+    save_filter(f, path)
     with open(path, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mapped:
         g = load_filter(mapped)
     assert roundtrip(g) == roundtrip(f)
@@ -141,7 +142,7 @@ def test_eviction_continues_identically_after_reload():
 
 
 # byte offsets of the v4 layout (see the snapshot module docstring)
-FLAGS, C, TAG_BITS = 10, 59, 107
+FLAGS, N, EPSILON, C, TAG_BITS = 10, 11, 27, 59, 107
 # each stored derived field: its offset and width (fp_range: its low half)
 DERIVED = {"c": (C, 8), "g": (67, 8), "n_prime": (75, 8), "fp_range": (83, 8),
            "gen_modulus": (99, 8), "tag_bits": (TAG_BITS, 1)}
@@ -310,6 +311,17 @@ def test_header_fields_range_checked():
         load_filter(resealed(blob, C, 7, 8))  # c = 6 with g = 14: c no longer fits
     with pytest.raises(SnapshotError, match="too short"):
         load_filter(reseal(blob[:KEYS]))  # no cells: the constructor never runs
+
+
+@pytest.mark.parametrize("offset, value, refusal", [
+    (N, 0, "window size n must be a positive integer, got 0"),
+    (EPSILON, int.from_bytes(struct.pack("<d", 1.5), "little"),
+     r"epsilon must be a real number strictly in \(0, 1\), got 1.5"),
+], ids=["n=0", "epsilon=1.5"])
+def test_resealed_inputs_that_derive_refuses(offset, value, refusal):
+    forged = resealed(roundtrip(busy_filter()), offset, value, 8)
+    with pytest.raises(SnapshotError, match=f"^snapshot parameters invalid: {refusal}$"):
+        load_filter(forged)
 
 
 @pytest.mark.parametrize("delta", [-1, 1])

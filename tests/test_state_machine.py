@@ -16,7 +16,7 @@ import io
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
-from slidingbloom import INFINITE, SlidingFilter, UnrecoverableOverflow, dictionary, load_filter
+from slidingbloom import INFINITE, SlidingFilter, UnrecoverableOverflow, dictionary, load_filter, save_filter
 
 from overflow_run import assert_refuses_every_use
 from reference_model import ReferenceModel
@@ -40,7 +40,7 @@ element = st.integers(0, 2**16)
 
 def saved(f) -> bytes:
     out = io.BytesIO()
-    f.save(out)
+    save_filter(f, out)
     return out.getvalue()
 
 
